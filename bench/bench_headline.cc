@@ -2,15 +2,13 @@
 // A-PCM sustains ~233,863 events/s while state-of-the-art sequential
 // matching sustains ~36 events/s at millions of Boolean expressions).
 //
-// Measures every matcher single-threaded on this host, then reports A-PCM on
-// N modeled cores via the calibrated multi-core work model (DESIGN.md §4).
+// Measures every matcher single-threaded on this host. Multi-thread rates
+// are measured separately by bench_threads (F6).
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "src/base/string_util.h"
-#include "src/core/pcm.h"
-#include "src/sim/core_model.h"
 
 namespace apcm::bench {
 namespace {
@@ -42,32 +40,6 @@ void Run(BenchJsonWriter& json) {
     std::printf("  measured %s\n", contender.label.c_str());
   }
 
-  // Modeled multi-core rows for A-PCM (this host has a single CPU; the work
-  // model replays the real partitioning arithmetic — see bench_threads).
-  core::PcmOptions options;
-  options.mode = core::PcmMode::kCompressed;
-  core::PcmMatcher pcm(options);
-  const ThroughputResult one_thread =
-      MeasureThroughput(pcm, workload, /*batch_size=*/256);
-  sim::MultiCoreModel model;
-  model.SetProfile(sim::ProfileClusterWork(pcm, workload.events));
-  model.Calibrate(static_cast<double>(workload.events.size()) /
-                  one_thread.events_per_second);
-  for (int cores : {8, 16, 32}) {
-    const double seconds = model.PredictSeconds(cores);
-    const double rate = static_cast<double>(workload.events.size()) / seconds;
-    BenchJsonWriter::Record modeled;
-    modeled.bench = "bench_headline";
-    modeled.config = StringPrintf("a-pcm-%d-core-model", cores);
-    modeled.throughput = rate;
-    modeled.metrics = {{"cores", static_cast<double>(cores)},
-                       {"matches_per_event", one_thread.matches_per_event}};
-    json.Add(std::move(modeled));
-    table.AddRow(
-        {StringPrintf("a-pcm (%d-core model)", cores), "-", "-", Rate(rate),
-         Fixed(one_thread.matches_per_event, 2),
-         scan_rate > 0 ? Fixed(rate / scan_rate, 1) + "x" : "-"});
-  }
   std::printf("\n");
   table.Print();
   std::printf(

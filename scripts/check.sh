@@ -57,12 +57,13 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1" \
     "./${build_dir}/tests/metrics_test" \
     --gtest_repeat="${repeat}" --gtest_brief=1
-  # Sharded fan-out/merge under TSan: the agreement suite drives the
-  # ShardedMatcher (num_shards up to 16, 2 fan-out threads) through the scan
-  # oracle. One pass of the full differential set is plenty under TSan.
+  # Cluster-parallel matching under TSan: the agreement suite drives pcm and
+  # a-pcm with pcm.num_threads in {1, 2, 4} (strided cluster split plus the
+  # per-thread merge) through the scan oracle. One pass of the full
+  # differential set is plenty under TSan.
   TSAN_OPTIONS="halt_on_error=1" \
     "./${build_dir}/tests/matcher_agreement_test" \
-    --gtest_filter='*Sharded*' --gtest_repeat=2 --gtest_brief=1
+    --gtest_filter='*Threaded*' --gtest_repeat=2 --gtest_brief=1
   # The network stack end-to-end (I/O thread + pump thread + match-callback
   # fan-out + Stop drain) under TSan. The suite floods sockets, so a few
   # full passes give plenty of interleavings.

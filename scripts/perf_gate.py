@@ -20,7 +20,7 @@ hence the separate, wider default band.
 
 The default gated configs are the paper's algorithms (pcm, a-pcm): the naive
 baselines (scan, counting, ...) exist for comparison and are allowed to
-drift, and the analytic core-model rows are deterministic extrapolations.
+drift.
 CI hosts are noisy, so the default tolerance is a wide 10%; the committed
 baseline still pins the trajectory because every regeneration is a commit.
 """

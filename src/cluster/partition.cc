@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/base/macros.h"
-#include "src/index/sharded.h"
+#include "src/be/value.h"
 
 namespace apcm::cluster {
 
@@ -19,9 +19,16 @@ PartitionMap::PartitionMap(uint32_t num_partitions, uint32_t num_backends) {
 }
 
 uint32_t PartitionMap::PartitionOf(uint64_t id, uint32_t num_partitions) {
-  // The exact hash the in-process sharded matcher partitions by — one
-  // algebra, two levels (DESIGN.md §3.7 / §3.13).
-  return index::ShardedMatcher::ShardOf(id, num_partitions);
+  // splitmix64 finalizer over the 32-bit subscription id: a stable,
+  // well-mixed function of the id alone, so placement survives restarts and
+  // topology changes. The narrowing to SubscriptionId is part of the
+  // placement contract (pinned by PartitionMapTest.PartitionOfGolden).
+  uint64_t x = static_cast<uint64_t>(static_cast<SubscriptionId>(id)) +
+               0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return static_cast<uint32_t>(x % num_partitions);
 }
 
 std::vector<uint32_t> PartitionMap::PartitionsOf(uint32_t slot) const {

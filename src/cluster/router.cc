@@ -567,6 +567,7 @@ void ClusterRouter::HandleClientPublish(ClientConn* conn, Frame frame) {
   pub.event = std::move(frame.event);
   pub.origin_conn = conn->id;
   pub.client_seq = frame.seq;
+  pub.trace_id = frame.trace_id;
   pub.awaiting_mask = LiveMask();
   inflight_.push_back(std::move(pub));
   ++unacked_publishes_;
@@ -1071,6 +1072,7 @@ void ClusterRouter::SendPublish(Backend* backend, const Inflight& publish) {
   frame.type = FrameType::kPublish;
   frame.seq = backend->next_seq++;
   frame.event = publish.event;
+  frame.trace_id = publish.trace_id;
   EnqueueBackend(backend, frame);
   BackendOp op;
   op.kind = OpKind::kPublish;

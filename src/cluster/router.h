@@ -102,7 +102,7 @@ struct ClusterStatus {
 /// both sides:
 ///
 ///   - SUBSCRIBE: the router assigns a global subscription id, maps it to a
-///     partition (PartitionMap — the ShardedMatcher hash one level up), and
+///     partition (PartitionMap, a stable hash of the id), and
 ///     registers it on the owning backend. The global id doubles as the
 ///     "client-chosen" sub id on the backend connection, so MATCH frames
 ///     come back self-describing.
@@ -278,6 +278,7 @@ class ClusterRouter : private net::Reactor::Handler {
     Event event;
     uint64_t origin_conn = 0;  ///< client conn id (0 once the client died)
     uint64_t client_seq = 0;
+    uint64_t trace_id = 0;       ///< client-supplied trace id (0 = none)
     uint64_t awaiting_mask = 0;  ///< bit per slot still owed an ACK
     bool errored = false;        ///< some backend rejected; no client ACK
   };

@@ -70,13 +70,4 @@ std::unique_ptr<Matcher> CreateMatcher(MatcherKind kind,
   return nullptr;
 }
 
-std::unique_ptr<index::ShardedMatcher> CreateShardedMatcher(
-    MatcherKind kind, const MatcherConfig& config,
-    const index::ShardedOptions& sharded) {
-  MatcherConfig inner = config;
-  inner.pcm.num_threads = 1;
-  return std::make_unique<index::ShardedMatcher>(
-      sharded, [kind, inner] { return CreateMatcher(kind, inner); });
-}
-
 }  // namespace apcm::engine

@@ -39,12 +39,7 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
     writer.U32(static_cast<uint32_t>(internals.size()));
     for (const SubscriptionId internal : internals) writer.U32(internal);
   }
-  if (!state.shard_images.empty()) {
-    writer.U8(2);
-    writer.Bytes(state.index_kind);
-    writer.U32(static_cast<uint32_t>(state.shard_images.size()));
-    for (const std::string& image : state.shard_images) writer.Bytes(image);
-  } else if (!state.index_kind.empty()) {
+  if (!state.index_kind.empty()) {
     writer.U8(1);
     writer.Bytes(state.index_kind);
     writer.Bytes(state.index_image);
@@ -122,18 +117,16 @@ StatusOr<CheckpointState> DecodeCheckpoint(std::string_view data) {
     state.index_kind.assign(kind);
     state.index_image.assign(image);
   } else if (has_index == 2) {
+    // Legacy per-shard images: validated, then dropped (see header).
     std::string_view kind;
     uint32_t nshards = 0;
     if (!reader.Bytes(&kind) || kind.empty() || !reader.U32(&nshards) ||
         nshards == 0 || nshards > reader.remaining()) {
       return Corrupt("invalid shard index section");
     }
-    state.index_kind.assign(kind);
-    state.shard_images.resize(nshards);
-    for (std::string& image : state.shard_images) {
-      std::string_view bytes;
-      if (!reader.Bytes(&bytes)) return Corrupt("invalid shard image");
-      image.assign(bytes);
+    for (uint32_t s = 0; s < nshards; ++s) {
+      std::string_view image;
+      if (!reader.Bytes(&image)) return Corrupt("invalid shard image");
     }
   }
   if (!reader.exhausted()) return Corrupt("trailing bytes");

@@ -23,14 +23,14 @@
 ///     1  index_kind bytes | index_image bytes
 ///     2  index_kind bytes | u32 nshards | per shard: image bytes
 ///
-/// The optional index section embeds serialized matcher images (the
+/// The optional index section embeds a serialized matcher image (the
 /// cluster_serialization v2 format via PcmMatcher::SaveIndex) so recovery
 /// can skip the initial full rebuild when the engine runs a compatible
-/// matcher kind. Form 2 is written by sharded engines (num_shards > 1): one
-/// image per shard, in shard order, each loadable into the shard's inner
-/// matcher (subscription→shard placement is the stable splitmix64 ShardOf,
-/// so a checkpoint's shard images are only valid for the same shard count —
-/// recovery falls back to a full rebuild when the counts differ).
+/// matcher kind. Form 2 (one image per hash shard) was written by engines
+/// that partitioned their index; it is no longer written. Decoding still
+/// accepts and validates it but drops the images, so such a checkpoint
+/// recovers its subscriptions through a full rebuild instead of sending
+/// recovery back to an older checkpoint whose WAL may already be pruned.
 
 #include <cstdint>
 #include <string>
@@ -56,12 +56,8 @@ struct CheckpointState {
       dnf_groups;
   /// Matcher kind name the image was built for ("" = no image embedded).
   std::string index_kind;
-  /// Serialized matcher index (PcmMatcher::SaveIndex stream bytes). Unused
-  /// when `shard_images` is set.
+  /// Serialized matcher index (PcmMatcher::SaveIndex stream bytes).
   std::string index_image;
-  /// Sharded engines: one SaveIndex image per shard, in shard order (their
-  /// presence selects index form 2; `index_kind` names the inner kind).
-  std::vector<std::string> shard_images;
 };
 
 /// Serializes `state` with magic and trailing checksum.

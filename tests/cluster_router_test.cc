@@ -27,6 +27,8 @@
 
 #include "src/base/failpoint.h"
 #include "src/base/rng.h"
+#include "src/cluster/partition.h"
+#include "src/engine/trace_ring.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 
@@ -62,8 +64,8 @@ uint64_t CounterValue(const MetricsRegistry& registry,
 class ClusterHarness {
  public:
   /// Starts one more backend EventServer and returns its port.
-  int SpawnBackend() {
-    auto server = std::make_unique<net::EventServer>(SmallBackendOptions());
+  int SpawnBackend(net::EventServerOptions backend = SmallBackendOptions()) {
+    auto server = std::make_unique<net::EventServer>(std::move(backend));
     EXPECT_TRUE(server->Start().ok());
     const int port = server->port();
     servers_.push_back(std::move(server));
@@ -71,9 +73,11 @@ class ClusterHarness {
   }
 
   /// Starts `n` backends and the router over them.
-  Status StartCluster(int n, ClusterOptions options = ClusterOptions()) {
+  Status StartCluster(int n, ClusterOptions options = ClusterOptions(),
+                      const net::EventServerOptions& backend =
+                          SmallBackendOptions()) {
     for (int i = 0; i < n; ++i) {
-      options.backends.push_back({"127.0.0.1", SpawnBackend()});
+      options.backends.push_back({"127.0.0.1", SpawnBackend(backend)});
     }
     router_ = std::make_unique<ClusterRouter>(std::move(options));
     return router_->Start();
@@ -485,6 +489,68 @@ TEST(ClusterRouterTest, AdminEndpointServesClusterState) {
   const std::string json = HttpGet(admin_port, "/metrics.json");
   EXPECT_NE(json.find("200 OK"), std::string::npos);
   EXPECT_NE(json.find("apcm_cluster_subscriptions"), std::string::npos);
+}
+
+// A client-supplied trace id survives the router: every backend's copy of
+// the event is traced under the client's id, so one id follows the event
+// across both hops.
+TEST(ClusterRouterTest, PublishForwardsClientTraceIdToEveryBackend) {
+  net::EventServerOptions backend = SmallBackendOptions();
+  backend.engine.trace_sample_every = 1;
+  ClusterHarness cluster;
+  ASSERT_TRUE(cluster.StartCluster(2, ClusterOptions(), backend).ok());
+
+  constexpr uint64_t kTraceId = 0x7EA5ED1DC0FFEE01ULL;
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", cluster.router().port()).ok());
+  ASSERT_TRUE(
+      client.Publish(Event::Create({{0, 1}}).value(), kTraceId).ok());
+
+  auto traced_stages = [&](size_t i) {
+    size_t stages = 0;
+    for (const engine::TraceRing::Span& span :
+         cluster.server(i).engine().trace().Snapshot()) {
+      if (span.kind == engine::TraceRing::Kind::kEventStage &&
+          span.a == kTraceId) {
+        ++stages;
+      }
+    }
+    return stages;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (size_t i = 0; i < cluster.num_servers(); ++i) {
+    while (traced_stages(i) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_GT(traced_stages(i), 0u)
+        << "backend " << i << " holds no event_stage span for the trace id";
+  }
+}
+
+// PartitionOf is the cluster's placement function; pin it bit for bit so
+// subscription placement cannot move silently. The ids above 2^32 pin the
+// narrowing to the 32-bit SubscriptionId (2^32 lands where 0 does).
+TEST(PartitionMapTest, PartitionOfGolden) {
+  struct Golden {
+    uint64_t id;
+    uint32_t partition;
+  };
+  const Golden golden[] = {
+      {0x0ULL, 47u},         {0x1ULL, 1u},          {0x2ULL, 14u},
+      {0x3ULL, 45u},         {0x7ULL, 23u},         {0x2aULL, 21u},
+      {0x3fULL, 53u},        {0x40ULL, 3u},         {0x64ULL, 4u},
+      {0x3e8ULL, 8u},        {0x3039ULL, 32u},      {0xffffULL, 54u},
+      {0x10000ULL, 51u},     {0x100000ULL, 45u},    {0x75bcd15ULL, 57u},
+      {0x7fffffffULL, 39u},  {0xfffffffeULL, 34u},  {0xffffffffULL, 0u},
+      {0x100000000ULL, 47u}, {0x100000005ULL, 26u},
+      {0x123456789abcdef0ULL, 42u},
+  };
+  for (const Golden& g : golden) {
+    EXPECT_EQ(PartitionMap::PartitionOf(g.id, 64), g.partition)
+        << "id 0x" << std::hex << g.id;
+  }
 }
 
 TEST(ClusterRouterTest, TopologyGuardRails) {

@@ -342,25 +342,25 @@ TEST(EngineConcurrentTest, ScraperRacesPublishersCleanly) {
       << text;
 }
 
-/// ConcurrentOptions with a sharded backend: 4 shards on a 2-thread fan-out
-/// pool, sized (like everything here) to stay fast under TSan.
-EngineOptions ShardedConcurrentOptions() {
+/// ConcurrentOptions with a cluster-parallel matcher: 4 PCM worker threads,
+/// sized (like everything here) to stay fast under TSan.
+EngineOptions ThreadedConcurrentOptions() {
   EngineOptions options = ConcurrentOptions();
-  options.num_shards = 4;
-  options.shard_threads = 2;
+  options.matcher.pcm.num_threads = 4;
   return options;
 }
 
-// The sharded backend under concurrent publishers: fan-out pool, per-shard
-// merge, and snapshot swaps all racing, checked against a sequential run.
-TEST(EngineConcurrentTest, ShardedPublishersAgreeWithSequentialReference) {
+// The cluster-parallel matcher under concurrent publishers: its worker pool,
+// per-thread merge, and snapshot swaps all racing, checked against a
+// sequential run.
+TEST(EngineConcurrentTest, ThreadedPublishersAgreeWithSequentialReference) {
   const auto workload = workload::Generate(ConcurrentSpec(9, 400)).value();
   constexpr size_t kPublishers = 4;
 
   std::map<uint64_t, std::vector<SubscriptionId>> reference;
   {
     ConcurrentDelivery delivery;
-    StreamEngine engine(ShardedConcurrentOptions(), delivery.Callback());
+    StreamEngine engine(ThreadedConcurrentOptions(), delivery.Callback());
     for (const auto& sub : workload.subscriptions) {
       ASSERT_TRUE(engine.AddSubscription(sub.predicates()).ok());
     }
@@ -373,7 +373,7 @@ TEST(EngineConcurrentTest, ShardedPublishersAgreeWithSequentialReference) {
   }
 
   ConcurrentDelivery delivery;
-  StreamEngine engine(ShardedConcurrentOptions(), delivery.Callback());
+  StreamEngine engine(ThreadedConcurrentOptions(), delivery.Callback());
   for (const auto& sub : workload.subscriptions) {
     ASSERT_TRUE(engine.AddSubscription(sub.predicates()).ok());
   }
@@ -397,10 +397,10 @@ TEST(EngineConcurrentTest, ShardedPublishersAgreeWithSequentialReference) {
   }
 }
 
-// Mutator churn against the sharded backend: per-shard delta routing and
-// per-shard background rebuilds racing publishers, with exactly-once
-// delivery and a deterministic post-quiesce probe.
-TEST(EngineConcurrentTest, ShardedMutatorChurnKeepsDeliveryExactlyOnce) {
+// Mutator churn against the cluster-parallel matcher: delta application and
+// background rebuilds racing publishers, with exactly-once delivery and a
+// deterministic post-quiesce probe.
+TEST(EngineConcurrentTest, ThreadedMutatorChurnKeepsDeliveryExactlyOnce) {
   const auto workload = workload::Generate(ConcurrentSpec(10, 300)).value();
   auto churn_spec = ConcurrentSpec(11, 1);
   churn_spec.num_subscriptions = 60;
@@ -412,7 +412,7 @@ TEST(EngineConcurrentTest, ShardedMutatorChurnKeepsDeliveryExactlyOnce) {
                  std::map<uint64_t, std::vector<SubscriptionId>>*
                      probe_results) {
     ConcurrentDelivery delivery;
-    StreamEngine engine(ShardedConcurrentOptions(), delivery.Callback());
+    StreamEngine engine(ThreadedConcurrentOptions(), delivery.Callback());
     for (const auto& sub : workload.subscriptions) {
       ASSERT_TRUE(engine.AddSubscription(sub.predicates()).ok());
     }

@@ -20,7 +20,6 @@
 #include "src/bitmap/kernels.h"
 #include "src/engine/engine.h"
 #include "src/index/scan.h"
-#include "src/index/sharded.h"
 #include "src/store/checkpoint.h"
 #include "src/store/durable_store.h"
 #include "src/store/wal.h"
@@ -146,7 +145,7 @@ class DifferentialSoakTest : public ::testing::TestWithParam<uint64_t> {};
 // Engine-level soak: random mutation bursts interleaved with event batches.
 // Each batch is published against a quiesced subscription set, so SCAN over
 // the model's live set is an exact per-event oracle; the mutation bursts in
-// between still drive the delta path, per-shard rebuilds, and compactions.
+// between still drive the delta path, rebuilds, and compactions.
 TEST_P(DifferentialSoakTest, EngineAgreesWithScanUnderChurn) {
   const uint64_t seed = GetParam();
   SCOPED_TRACE("reproduce with: --gtest_filter='*EngineAgreesWithScan*' "
@@ -158,11 +157,10 @@ TEST_P(DifferentialSoakTest, EngineAgreesWithScanUnderChurn) {
 
   engine::EngineOptions options;
   options.kind = engine::MatcherKind::kAPcm;
-  // Vary the engine shape per seed: shard count, fan-out threads, and
+  // Vary the engine shape per seed: cluster-parallel matcher threads and
   // whether the incremental path is enabled at all.
-  const uint32_t shard_choices[] = {1, 2, 4, 7};
-  options.num_shards = shard_choices[rng.Uniform(4)];
-  options.shard_threads = 1 + static_cast<int>(rng.Uniform(2));
+  const int thread_choices[] = {1, 2, 4};
+  options.matcher.pcm.num_threads = thread_choices[rng.Uniform(3)];
   options.matcher.pcm.clustering.cluster_size = 32;
   options.batch_size = 8;
   options.osr.window_size = rng.Bernoulli(0.5) ? 16 : 0;
@@ -227,7 +225,7 @@ TEST_P(DifferentialSoakTest, EngineAgreesWithScanUnderChurn) {
         scan.Match(*events[e], &expected);
         ASSERT_EQ(by_event.at(ids[e]), expected)
             << "event " << ids[e] << " (" << events[e]->ToString() << ") with "
-            << options.num_shards << " shards, threshold "
+            << options.matcher.pcm.num_threads << " threads, threshold "
             << options.incremental_rebuild_threshold;
       }
     }
@@ -238,22 +236,23 @@ TEST_P(DifferentialSoakTest, EngineAgreesWithScanUnderChurn) {
   EXPECT_EQ(engine.stats().events_processed, published);
 }
 
-// Matcher-level soak: ShardedMatcher absorbing incremental adds/removes must
-// agree with a scan oracle rebuilt from the model at every checkpoint.
-TEST_P(DifferentialSoakTest, ShardedIncrementalAgreesWithScanOracle) {
+// Matcher-level soak: a cluster-parallel a-pcm matcher absorbing incremental
+// adds/removes must agree with a scan oracle rebuilt from the model at every
+// checkpoint.
+TEST_P(DifferentialSoakTest, ThreadedIncrementalAgreesWithScanOracle) {
   const uint64_t seed = GetParam() ^ 0x50AC;
   SCOPED_TRACE("reproduce with seed = " + std::to_string(GetParam()));
   Rng rng(seed);
   const auto pool = workload::Generate(SoakPoolSpec(seed)).value();
 
-  index::ShardedOptions sharded;
-  const uint32_t shard_choices[] = {1, 3, 8};
-  sharded.num_shards = shard_choices[rng.Uniform(3)];
-  sharded.num_threads = 2;
+  const int thread_choices[] = {1, 2, 4};
   engine::MatcherConfig config;
+  config.pcm.num_threads = thread_choices[rng.Uniform(3)];
   config.pcm.clustering.cluster_size = 32;
-  auto matcher =
-      engine::CreateShardedMatcher(engine::MatcherKind::kAPcm, config, sharded);
+  std::unique_ptr<Matcher> created =
+      engine::CreateMatcher(engine::MatcherKind::kAPcm, config);
+  auto* matcher = dynamic_cast<IncrementalMatcher*>(created.get());
+  ASSERT_NE(matcher, nullptr);
 
   // Ids must be unique forever (engine semantics): allocate monotonically.
   SubscriptionId next_id = 0;
@@ -299,8 +298,8 @@ TEST_P(DifferentialSoakTest, ShardedIncrementalAgreesWithScanOracle) {
         scan.Match(event, &expected);
         matcher->Match(event, &actual);
         ASSERT_EQ(actual, expected)
-            << event.ToString() << " with " << sharded.num_shards
-            << " shards after " << op << " ops";
+            << event.ToString() << " with " << config.pcm.num_threads
+            << " threads after " << op << " ops";
       }
     }
   }

@@ -254,15 +254,18 @@ TEST(EngineAgreementTest, TopKDeliveryEqualsTruncatedGroundTruth) {
   }
 }
 
-// Sharded differential oracle: for every workload spec and every shard
-// count, ShardedMatcher must produce byte-identical sorted match sets to the
-// SCAN ground truth, through the single-event API and the batch API, with
-// incremental (a-pcm) and non-incremental (counting) inner matchers.
-constexpr uint32_t kShardCounts[] = {1, 2, 7, 16};
+// Cluster-parallel differential oracle: for every workload spec and every
+// PCM thread count, pcm and a-pcm must produce byte-identical sorted match
+// sets to the SCAN ground truth, through the single-event API and the batch
+// API. The strided cluster split (DESIGN.md §3.1) is the only in-process
+// parallelism axis, so this is where its merge is checked.
+constexpr int kThreadCounts[] = {1, 2, 4};
+constexpr MatcherKind kThreadedKinds[] = {MatcherKind::kPcm,
+                                          MatcherKind::kAPcm};
 
-class ShardedAgreementTest : public ::testing::TestWithParam<size_t> {};
+class ThreadedAgreementTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(ShardedAgreementTest, ShardedAgreesWithScanForAllShardCounts) {
+TEST_P(ThreadedAgreementTest, ThreadedAgreesWithScanForAllThreadCounts) {
   const AgreementCase test_case = MakeCases()[GetParam()];
   SCOPED_TRACE(test_case.name);
   const auto workload = workload::Generate(test_case.spec).value();
@@ -274,59 +277,56 @@ TEST_P(ShardedAgreementTest, ShardedAgreesWithScanForAllShardCounts) {
   index::ScanMatcher scan;
   const auto expected = RunMatcher(scan, workload);
 
-  for (uint32_t num_shards : kShardCounts) {
-    for (MatcherKind kind : {MatcherKind::kAPcm, MatcherKind::kCounting}) {
-      index::ShardedOptions sharded;
-      sharded.num_shards = num_shards;
-      sharded.num_threads = 2;  // exercise the fan-out pool
-      auto matcher = engine::CreateShardedMatcher(kind, config, sharded);
+  for (int num_threads : kThreadCounts) {
+    for (MatcherKind kind : kThreadedKinds) {
+      config.pcm.num_threads = num_threads;
+      auto matcher = CreateMatcher(kind, config);
       const auto actual = RunMatcher(*matcher, workload);
       ASSERT_EQ(actual.size(), expected.size());
       for (size_t i = 0; i < expected.size(); ++i) {
         ASSERT_EQ(actual[i], expected[i])
-            << matcher->Name() << " disagrees with scan on event " << i
-            << " of case '" << test_case.name
-            << "': " << workload.events[i].ToString();
+            << matcher->Name() << " with " << num_threads
+            << " threads disagrees with scan on event " << i << " of case '"
+            << test_case.name << "': " << workload.events[i].ToString();
       }
     }
   }
 }
 
-TEST_P(ShardedAgreementTest, ShardedBatchEqualsSingle) {
+TEST_P(ThreadedAgreementTest, ThreadedBatchEqualsSingle) {
   const AgreementCase test_case = MakeCases()[GetParam()];
   SCOPED_TRACE(test_case.name);
   const auto workload = workload::Generate(test_case.spec).value();
   MatcherConfig config;
   config.domain = {test_case.spec.domain_min, test_case.spec.domain_max};
   config.pcm.clustering.cluster_size = 64;
-  for (uint32_t num_shards : kShardCounts) {
-    index::ShardedOptions sharded;
-    sharded.num_shards = num_shards;
-    sharded.num_threads = 2;
-    auto batch_matcher =
-        engine::CreateShardedMatcher(MatcherKind::kAPcm, config, sharded);
-    batch_matcher->Build(workload.subscriptions);
-    std::vector<std::vector<SubscriptionId>> batch_results;
-    batch_matcher->MatchBatch(workload.events, &batch_results);
+  for (int num_threads : kThreadCounts) {
+    for (MatcherKind kind : kThreadedKinds) {
+      config.pcm.num_threads = num_threads;
+      auto batch_matcher = CreateMatcher(kind, config);
+      batch_matcher->Build(workload.subscriptions);
+      std::vector<std::vector<SubscriptionId>> batch_results;
+      batch_matcher->MatchBatch(workload.events, &batch_results);
 
-    auto single_matcher =
-        engine::CreateShardedMatcher(MatcherKind::kAPcm, config, sharded);
-    const auto single_results = RunMatcher(*single_matcher, workload);
-    EXPECT_EQ(batch_results, single_results)
-        << num_shards << " shards, case " << test_case.name;
+      auto single_matcher = CreateMatcher(kind, config);
+      const auto single_results = RunMatcher(*single_matcher, workload);
+      EXPECT_EQ(batch_results, single_results)
+          << MatcherKindName(kind) << " with " << num_threads
+          << " threads, case " << test_case.name;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Cases, ShardedAgreementTest,
+    Cases, ThreadedAgreementTest,
     ::testing::Range<size_t>(0, MakeCases().size()),
     [](const ::testing::TestParamInfo<size_t>& info) {
       return MakeCases()[info.param].name;
     });
 
-// The acceptance-criterion bulk run: >= 10k generated events through every
-// shard count, each batch result compared byte-for-byte against SCAN.
-TEST(ShardedAgreementTest, TenThousandEventDifferentialRun) {
+// The bulk run: >= 10k generated events through every thread count, each
+// batch result compared byte-for-byte against SCAN.
+TEST(ThreadedAgreementTest, TenThousandEventDifferentialRun) {
   auto spec = BaseSpec(99);
   spec.num_subscriptions = 400;
   spec.num_events = 10'000;
@@ -341,28 +341,29 @@ TEST(ShardedAgreementTest, TenThousandEventDifferentialRun) {
   std::vector<std::vector<SubscriptionId>> expected;
   scan.MatchBatch(workload.events, &expected);
 
-  for (uint32_t num_shards : kShardCounts) {
-    index::ShardedOptions sharded;
-    sharded.num_shards = num_shards;
-    sharded.num_threads = 2;
-    auto matcher =
-        engine::CreateShardedMatcher(MatcherKind::kAPcm, config, sharded);
-    matcher->Build(workload.subscriptions);
-    std::vector<std::vector<SubscriptionId>> actual;
-    matcher->MatchBatch(workload.events, &actual);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(actual[i], expected[i])
-          << matcher->Name() << " disagrees with scan on event " << i;
+  for (int num_threads : kThreadCounts) {
+    for (MatcherKind kind : kThreadedKinds) {
+      config.pcm.num_threads = num_threads;
+      auto matcher = CreateMatcher(kind, config);
+      matcher->Build(workload.subscriptions);
+      std::vector<std::vector<SubscriptionId>> actual;
+      matcher->MatchBatch(workload.events, &actual);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(actual[i], expected[i])
+            << matcher->Name() << " with " << num_threads
+            << " threads disagrees with scan on event " << i;
+      }
     }
   }
 }
 
-// The engine facade with a sharded backend must agree with scan on every
-// workload spec — batching, OSR, and the per-shard merge all composed.
-class ShardedEngineAgreementTest : public ::testing::TestWithParam<size_t> {};
+// The engine facade over a cluster-parallel matcher must agree with scan on
+// every workload spec — batching, OSR, and the per-thread merge composed.
+class ThreadedEngineAgreementTest
+    : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(ShardedEngineAgreementTest, ShardedEngineAgreesWithScan) {
+TEST_P(ThreadedEngineAgreementTest, ThreadedEngineAgreesWithScan) {
   const AgreementCase test_case = MakeCases()[GetParam()];
   SCOPED_TRACE(test_case.name);
   const auto workload = workload::Generate(test_case.spec).value();
@@ -370,102 +371,100 @@ TEST_P(ShardedEngineAgreementTest, ShardedEngineAgreesWithScan) {
   index::ScanMatcher scan;
   const auto expected = RunMatcher(scan, workload);
 
-  struct Variant {
-    MatcherKind kind;
-    uint32_t num_shards;
-  };
-  for (const Variant v : {Variant{MatcherKind::kAPcm, 4},
-                          Variant{MatcherKind::kCounting, 3}}) {
-    engine::EngineOptions options;
-    options.kind = v.kind;
-    options.num_shards = v.num_shards;
-    options.shard_threads = 2;
-    options.matcher.domain = {test_case.spec.domain_min,
-                              test_case.spec.domain_max};
-    options.matcher.pcm.clustering.cluster_size = 64;
-    options.batch_size = 16;
-    options.osr.window_size = 32;
-    options.buffer_capacity = 48;
+  for (int num_threads : kThreadCounts) {
+    for (MatcherKind kind : kThreadedKinds) {
+      engine::EngineOptions options;
+      options.kind = kind;
+      options.matcher.pcm.num_threads = num_threads;
+      options.matcher.domain = {test_case.spec.domain_min,
+                                test_case.spec.domain_max};
+      options.matcher.pcm.clustering.cluster_size = 64;
+      options.batch_size = 16;
+      options.osr.window_size = 32;
+      options.buffer_capacity = 48;
 
-    std::map<uint64_t, std::vector<SubscriptionId>> by_event;
-    engine::StreamEngine engine(
-        options, [&](uint64_t event_id,
-                     const std::vector<SubscriptionId>& matches) {
-          by_event[event_id] = matches;
-        });
-    for (const auto& sub : workload.subscriptions) {
-      ASSERT_TRUE(engine.AddSubscription(sub.predicates()).ok());
-    }
-    for (const Event& event : workload.events) engine.Publish(event);
-    engine.Flush();
+      std::map<uint64_t, std::vector<SubscriptionId>> by_event;
+      engine::StreamEngine engine(
+          options, [&](uint64_t event_id,
+                       const std::vector<SubscriptionId>& matches) {
+            by_event[event_id] = matches;
+          });
+      for (const auto& sub : workload.subscriptions) {
+        ASSERT_TRUE(engine.AddSubscription(sub.predicates()).ok());
+      }
+      for (const Event& event : workload.events) engine.Publish(event);
+      engine.Flush();
 
-    ASSERT_EQ(by_event.size(), workload.events.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(by_event.at(i), expected[i])
-          << MatcherKindName(v.kind) << " engine with " << v.num_shards
-          << " shards disagrees with scan on event " << i << " of case '"
-          << test_case.name << "'";
+      ASSERT_EQ(by_event.size(), workload.events.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(by_event.at(i), expected[i])
+            << MatcherKindName(kind) << " engine with " << num_threads
+            << " threads disagrees with scan on event " << i << " of case '"
+            << test_case.name << "'";
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Cases, ShardedEngineAgreementTest,
+    Cases, ThreadedEngineAgreementTest,
     ::testing::Range<size_t>(0, MakeCases().size()),
     [](const ::testing::TestParamInfo<size_t>& info) {
       return MakeCases()[info.param].name;
     });
 
-// Top-k truncation must be shard-oblivious: the per-shard merge feeds the
-// same full match set into the top-k stage as the unsharded matcher would.
-TEST(ShardedEngineAgreementTest, TopKDeliveryWithShardsEqualsGroundTruth) {
+// Top-k truncation must be thread-oblivious: the per-thread merge feeds the
+// same full match set into the top-k stage as the single-threaded matcher.
+TEST(ThreadedEngineAgreementTest, TopKDeliveryWithThreadsEqualsGroundTruth) {
   const auto workload = workload::Generate(BaseSpec(78)).value();
   index::ScanMatcher scan;
   const auto expected = RunMatcher(scan, workload);
 
-  engine::EngineOptions options;
-  options.kind = engine::MatcherKind::kAPcm;
-  options.num_shards = 5;
-  options.shard_threads = 2;
-  options.matcher.pcm.clustering.cluster_size = 64;
-  options.batch_size = 16;
-  options.osr.window_size = 32;
-  options.buffer_capacity = 48;
-  options.top_k = 3;
+  for (int num_threads : kThreadCounts) {
+    engine::EngineOptions options;
+    options.kind = engine::MatcherKind::kAPcm;
+    options.matcher.pcm.num_threads = num_threads;
+    options.matcher.pcm.clustering.cluster_size = 64;
+    options.batch_size = 16;
+    options.osr.window_size = 32;
+    options.buffer_capacity = 48;
+    options.top_k = 3;
 
-  std::map<uint64_t, std::vector<SubscriptionId>> by_event;
-  engine::StreamEngine engine(
-      options,
-      [&](uint64_t event_id, const std::vector<SubscriptionId>& matches) {
-        by_event[event_id] = matches;
-      });
-  std::vector<double> priorities(workload.subscriptions.size(), 0.0);
-  for (size_t s = 0; s < workload.subscriptions.size(); ++s) {
-    ASSERT_TRUE(
-        engine.AddSubscription(workload.subscriptions[s].predicates()).ok());
-    priorities[s] = static_cast<double>((s * 5) % 13);
-    ASSERT_TRUE(engine.SetPriority(s, priorities[s]).ok());
-  }
-  for (const Event& event : workload.events) engine.Publish(event);
-  engine.Flush();
+    std::map<uint64_t, std::vector<SubscriptionId>> by_event;
+    engine::StreamEngine engine(
+        options,
+        [&](uint64_t event_id, const std::vector<SubscriptionId>& matches) {
+          by_event[event_id] = matches;
+        });
+    std::vector<double> priorities(workload.subscriptions.size(), 0.0);
+    for (size_t s = 0; s < workload.subscriptions.size(); ++s) {
+      ASSERT_TRUE(
+          engine.AddSubscription(workload.subscriptions[s].predicates()).ok());
+      priorities[s] = static_cast<double>((s * 5) % 13);
+      ASSERT_TRUE(engine.SetPriority(s, priorities[s]).ok());
+    }
+    for (const Event& event : workload.events) engine.Publish(event);
+    engine.Flush();
 
-  for (size_t i = 0; i < expected.size(); ++i) {
-    std::vector<SubscriptionId> want = expected[i];
-    std::stable_sort(want.begin(), want.end(),
-                     [&](SubscriptionId a, SubscriptionId b) {
-                       if (priorities[a] != priorities[b]) {
-                         return priorities[a] > priorities[b];
-                       }
-                       return a < b;
-                     });
-    if (want.size() > 3) want.resize(3);
-    std::sort(want.begin(), want.end());
-    ASSERT_EQ(by_event.at(i), want) << "event " << i;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      std::vector<SubscriptionId> want = expected[i];
+      std::stable_sort(want.begin(), want.end(),
+                       [&](SubscriptionId a, SubscriptionId b) {
+                         if (priorities[a] != priorities[b]) {
+                           return priorities[a] > priorities[b];
+                         }
+                         return a < b;
+                       });
+      if (want.size() > 3) want.resize(3);
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(by_event.at(i), want)
+          << num_threads << " threads, event " << i;
+    }
   }
 }
 
-// SIMD-forced agreement: the same workload through A-PCM, the sharded
-// backend, and SCAN under every supported kernel level must produce
+// SIMD-forced agreement: the same workload through the PCM family (single-
+// and multi-threaded) and SCAN under every supported kernel level must produce
 // byte-identical match sets — and identical FNV-1a digests, the same
 // fingerprint the golden replay uses, so a cross-level divergence is
 // directly comparable against the pinned goldens.
@@ -519,16 +518,18 @@ TEST_P(SimdAgreementTest, MatchDigestsIdenticalUnderEveryKernelLevel) {
           << test_case.name << "'";
       ASSERT_EQ(actual, expected);
     }
-    index::ShardedOptions sharded;
-    sharded.num_shards = 4;
-    sharded.num_threads = 2;
-    auto matcher =
-        engine::CreateShardedMatcher(MatcherKind::kAPcm, config, sharded);
-    const auto actual = RunMatcher(*matcher, workload);
-    ASSERT_EQ(DigestRows(actual), expected_digest)
-        << "sharded a-pcm digest diverges under "
-        << bitmap::SimdLevelName(level) << " kernels on case '"
-        << test_case.name << "'";
+    MatcherConfig threaded = config;
+    threaded.pcm.num_threads = 4;
+    for (MatcherKind kind : kThreadedKinds) {
+      auto matcher = CreateMatcher(kind, threaded);
+      matcher->Build(workload.subscriptions);
+      std::vector<std::vector<SubscriptionId>> actual;
+      matcher->MatchBatch(workload.events, &actual);
+      ASSERT_EQ(DigestRows(actual), expected_digest)
+          << "4-thread " << matcher->Name() << " digest diverges under "
+          << bitmap::SimdLevelName(level) << " kernels on case '"
+          << test_case.name << "'";
+    }
     // SCAN itself also runs through Bitmap word ops; include it.
     index::ScanMatcher rescan;
     ASSERT_EQ(DigestRows(RunMatcher(rescan, workload)), expected_digest)

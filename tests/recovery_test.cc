@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,9 +23,11 @@
 #include "src/base/failpoint.h"
 #include "src/base/file_io.h"
 #include "src/base/rng.h"
+#include "src/core/pcm.h"
 #include "src/engine/engine.h"
 #include "src/store/checkpoint.h"
 #include "src/store/durable_store.h"
+#include "src/store/wal.h"
 
 namespace apcm {
 namespace {
@@ -447,28 +451,18 @@ TEST(RecoveryTest, ExplicitCheckpointTruncatesLogAndBoundsReplay) {
 }
 
 /// Satellite property: snapshot + WAL round-trip across matcher backends —
-/// the checkpoint image embeds a PCM index only for unsharded PCM-family
-/// configs, everything else recovers through pure state + replay, and both
-/// paths must agree with the oracle.
+/// the checkpoint image embeds a PCM index only for PCM-family configs,
+/// everything else recovers through pure state + replay, and both paths
+/// must agree with the oracle.
 TEST(RecoveryTest, RoundTripAcrossMatcherBackends) {
   const auto script = MakeScript(0x5EED, 22);
   const auto probes = MakeProbes(0x5EED2, 32);
-  struct Backend {
-    MatcherKind kind;
-    uint32_t num_shards;
-  };
-  const Backend backends[] = {{MatcherKind::kAPcm, 1},
-                              {MatcherKind::kPcm, 1},
-                              {MatcherKind::kPcmLazy, 1},
-                              {MatcherKind::kScan, 1},
-                              {MatcherKind::kAPcm, 4}};
-  for (const Backend& backend : backends) {
-    SCOPED_TRACE(std::string(MatcherKindName(backend.kind)) + "/" +
-                 std::to_string(backend.num_shards) + " shards");
+  for (const MatcherKind kind : {MatcherKind::kAPcm, MatcherKind::kPcm,
+                                 MatcherKind::kPcmLazy, MatcherKind::kScan}) {
+    SCOPED_TRACE(std::string(MatcherKindName(kind)));
     TempDir dir;
     EngineOptions options = DurableOptions(dir.path());
-    options.kind = backend.kind;
-    options.num_shards = backend.num_shards;
+    options.kind = kind;
     // Explicit Checkpoint() only, so it cannot race a background one.
     options.checkpoint_every_ops = 0;
     {
@@ -485,51 +479,150 @@ TEST(RecoveryTest, RoundTripAcrossMatcherBackends) {
   }
 }
 
-/// Sharded engines embed one index image per shard in the checkpoint (index
-/// form 2) and recovery rehydrates every shard from its image instead of
-/// rebuilding: the restored engine answers probes with zero shard rebuilds.
-TEST(RecoveryTest, ShardedCheckpointEmbedsAndRestoresPerShardImages) {
-  const auto script = MakeScript(0x51AED, 26);
-  const auto probes = MakeProbes(0x51AED2, 32);
+/// Path of the single checkpoint file in `dir` ("" when there is none).
+std::string CheckpointPath(const std::string& dir) {
+  std::string path;
+  const auto names = ListDir(dir).value();
+  for (const std::string& name : names) {
+    if (name.ends_with(".ckpt")) path = dir + "/" + name;
+  }
+  return path;
+}
+
+/// A PCM-family checkpoint embeds its index image (index form 1), and
+/// recovery installs that image as the initial snapshot: the recovered
+/// engine answers probes without a single rebuild.
+TEST(RecoveryTest, IndexImageCheckpointRecoversWithoutRebuild) {
+  const auto script = MakeScript(0x1DE7, 26);
+  const auto probes = MakeProbes(0x1DE72, 32);
   TempDir dir;
   EngineOptions options = DurableOptions(dir.path());
   options.kind = MatcherKind::kAPcm;
-  options.num_shards = 4;
   options.checkpoint_every_ops = 0;  // explicit Checkpoint() only
   {
     Harness durable(options);
     ApplyScript(durable.engine, script);
     ASSERT_TRUE(durable.engine.Checkpoint().ok());
   }
-  // The on-disk image carries the sharded index section: the inner kind
-  // plus one non-empty image per shard (decoded through the public codec).
-  std::string ckpt_path;
-  const auto names = ListDir(dir.path()).value();
-  for (const std::string& name : names) {
-    if (name.ends_with(".ckpt")) ckpt_path = dir.path() + "/" + name;
-  }
+  const std::string ckpt_path = CheckpointPath(dir.path());
   ASSERT_FALSE(ckpt_path.empty());
-  const auto bytes = ReadFileToString(ckpt_path);
-  ASSERT_TRUE(bytes.ok());
-  const auto decoded = store::DecodeCheckpoint(*bytes);
+  const auto decoded =
+      store::DecodeCheckpoint(ReadFileToString(ckpt_path).value());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->index_kind, MatcherKindName(MatcherKind::kAPcm));
-  EXPECT_TRUE(decoded->index_image.empty());
-  ASSERT_EQ(decoded->shard_images.size(), 4u);
-  for (const std::string& image : decoded->shard_images) {
-    EXPECT_FALSE(image.empty());
-  }
+  EXPECT_FALSE(decoded->index_image.empty());
 
   Harness recovered(options);
+  EXPECT_EQ(CounterValue(recovered.engine.metrics_registry(),
+                         "apcm_recovery_records_total"),
+            0u);
   const std::vector<bool> all(script.size(), true);
   const auto [oracle_digest, oracle_subs] =
       OracleDigest(script, all, probes, options);
   EXPECT_EQ(recovered.engine.num_subscriptions(), oracle_subs);
   EXPECT_EQ(recovered.Probe(probes), oracle_digest);
-  // The probes ran entirely on the rehydrated shards: nothing was rebuilt.
+  // The probes ran entirely on the loaded image: nothing was rebuilt.
   EXPECT_EQ(CounterValue(recovered.engine.metrics_registry(),
-                         "apcm_shard_rebuilds_total"),
+                         "apcm_rebuilds_total"),
             0u);
+}
+
+/// Encodes `state` in the legacy index form 2 (one index image per hash
+/// shard), byte for byte as the codec's layout defines it: the form-0
+/// encoding up to its index flag, then
+/// `u8 2 | kind bytes | u32 nshards | per shard: image bytes`, then the
+/// masked CRC32C of everything before it.
+std::string EncodeShardedCheckpoint(store::CheckpointState state,
+                                    const std::vector<std::string>& images) {
+  const std::string kind = std::move(state.index_kind);
+  state.index_kind.clear();
+  state.index_image.clear();
+  std::string out = store::EncodeCheckpoint(state);
+  out.resize(out.size() - 5);  // drop "u8 has_index = 0 | u32 crc"
+  store::ByteWriter writer(&out);
+  writer.U8(2);
+  writer.Bytes(kind);
+  writer.U32(static_cast<uint32_t>(images.size()));
+  for (const std::string& image : images) writer.Bytes(image);
+  writer.U32(MaskCrc32c(Crc32c(0, out.data(), out.size())));
+  return out;
+}
+
+/// Checkpoints in the legacy sharded form (index form 2) still recover.
+/// Decoding validates the section and drops the per-shard images; every
+/// subscription then comes back through the full-rebuild fallback. Treating
+/// the file as corrupt instead would send recovery to an older checkpoint
+/// whose WAL was already pruned, losing acknowledged subscriptions.
+TEST(RecoveryTest, LegacyShardedCheckpointRecoversThroughFullRebuild) {
+  const auto script = MakeScript(0x51AED, 26);
+  const auto probes = MakeProbes(0x51AED2, 32);
+  const size_t cut = 18;  // ops [0, cut) before the checkpoint, rest after
+  TempDir dir;
+  EngineOptions options = DurableOptions(dir.path());
+  options.kind = MatcherKind::kAPcm;
+  options.checkpoint_every_ops = 0;  // explicit Checkpoint() only
+  {
+    Harness durable(options);
+    const std::vector<ScriptOp> before(script.begin(), script.begin() + cut);
+    const std::vector<ScriptOp> after(script.begin() + cut, script.end());
+    const auto head = ApplyScript(durable.engine, before);
+    ASSERT_TRUE(durable.engine.Checkpoint().ok());
+    ApplyScript(durable.engine, after, nullptr, nullptr, /*arg=*/0,
+                /*arm_at=*/-1, head.ids);
+  }
+
+  // Rewrite the checkpoint in form 2 with four real per-shard a-pcm images.
+  const std::string ckpt_path = CheckpointPath(dir.path());
+  ASSERT_FALSE(ckpt_path.empty());
+  auto state = store::DecodeCheckpoint(ReadFileToString(ckpt_path).value());
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  constexpr uint32_t kShards = 4;
+  std::vector<std::vector<BooleanExpression>> parts(kShards);
+  for (const auto& [id, predicates] : state->subscriptions) {
+    parts[id % kShards].push_back(
+        BooleanExpression::FromSorted(id, predicates));
+  }
+  std::vector<std::string> images;
+  for (const auto& part : parts) {
+    std::unique_ptr<Matcher> matcher =
+        engine::CreateMatcher(MatcherKind::kAPcm, options.matcher);
+    auto* pcm = dynamic_cast<core::PcmMatcher*>(matcher.get());
+    ASSERT_NE(pcm, nullptr);
+    pcm->Build(part);
+    std::ostringstream image(std::ios::binary);
+    ASSERT_TRUE(pcm->SaveIndex(image).ok());
+    images.push_back(std::move(image).str());
+  }
+  const std::string legacy = EncodeShardedCheckpoint(*state, images);
+  ASSERT_TRUE(AtomicWriteFile(ckpt_path, legacy).ok());
+
+  const auto decoded = store::DecodeCheckpoint(legacy);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->subscriptions, state->subscriptions);
+  EXPECT_TRUE(decoded->index_kind.empty());
+  EXPECT_TRUE(decoded->index_image.empty());
+  // A damaged form-2 section is still corruption, not a silent skip.
+  std::string truncated = legacy.substr(0, legacy.size() - 9);
+  store::ByteWriter(&truncated).U32(
+      MaskCrc32c(Crc32c(0, truncated.data(), truncated.size())));
+  EXPECT_EQ(store::DecodeCheckpoint(truncated).status().code(),
+            StatusCode::kIOError);
+
+  Harness recovered(options);
+  EXPECT_EQ(CounterValue(recovered.engine.metrics_registry(),
+                         "apcm_recovery_skipped_checkpoints_total"),
+            0u);
+  EXPECT_EQ(CounterValue(recovered.engine.metrics_registry(),
+                         "apcm_recovery_records_total"),
+            script.size() - cut);
+  const std::vector<bool> all(script.size(), true);
+  const auto [oracle_digest, oracle_subs] =
+      OracleDigest(script, all, probes, options);
+  EXPECT_EQ(recovered.engine.num_subscriptions(), oracle_subs);
+  EXPECT_EQ(recovered.Probe(probes), oracle_digest);
+  EXPECT_GE(CounterValue(recovered.engine.metrics_registry(),
+                         "apcm_rebuilds_total"),
+            1u);
 }
 
 TEST(RecoveryTest, ForeignFilesInDataDirAreIgnored) {
