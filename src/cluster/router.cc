@@ -1170,6 +1170,10 @@ void ClusterRouter::AdvanceFrontier() {
     ++released_count_;
   }
   TrimInflight();
+  // Publish the new frontier before any follower can see it: the reactor
+  // may write the PROGRESS below at once, and a client that reads it and
+  // then calls Snapshot() must not find an older released_count.
+  RefreshSnapshot();
   // One coalesced PROGRESS per advance for router-level followers: the
   // watermark contract ("everything <= event_id is fully delivered") holds
   // for any granularity.

@@ -23,9 +23,10 @@ const char* EvalModeName(EvalMode mode);
 /// event's present attributes (early zero-exit aside); lazy evaluation quits
 /// each subscription at its first failing predicate. Which is cheaper
 /// depends on sharing and on match probability, and drifts with the stream.
-/// The controller keeps an EWMA of the measured per-event work of each mode
-/// and picks the cheaper one, re-probing the other with probability epsilon
-/// so estimates track drift (an epsilon-greedy bandit).
+/// The controller keeps an EWMA of the measured per-event cost of each mode
+/// (PcmMatcher records wall nanoseconds per event) and picks the cheaper
+/// one, re-probing the other with probability epsilon so estimates track
+/// drift (an epsilon-greedy bandit).
 class AdaptiveState {
  public:
   /// `epsilon` is the exploration probability; `alpha` the EWMA weight of a
@@ -50,18 +51,20 @@ class AdaptiveState {
     return best;
   }
 
-  /// Records the measured work units per event of running `mode`.
-  void Record(EvalMode mode, double work_per_event) {
+  /// Records the measured cost per event (wall nanoseconds in PcmMatcher)
+  /// of running `mode`.
+  void Record(EvalMode mode, double cost_per_event) {
     const auto i = static_cast<size_t>(mode);
     if (observations_[i] == 0) {
-      cost_[i] = work_per_event;
+      cost_[i] = cost_per_event;
     } else {
-      cost_[i] = (1 - alpha_) * cost_[i] + alpha_ * work_per_event;
+      cost_[i] = (1 - alpha_) * cost_[i] + alpha_ * cost_per_event;
     }
     ++observations_[i];
   }
 
-  /// Current cost estimate of `mode` (work units per event; 0 if unsampled).
+  /// Current cost estimate of `mode` (cost per event, in the unit Record was
+  /// given; 0 if unsampled).
   double EstimatedCost(EvalMode mode) const {
     return cost_[static_cast<size_t>(mode)];
   }

@@ -225,8 +225,8 @@ bool CompressedCluster::HasRequiredAttributes(const Event& event) const {
 
 bool CompressedCluster::ComputeAbsence(const Event& event, uint64_t* result,
                                        MatcherStats* stats) const {
-  std::fill(result, result + words_, 0);
   if (!HasRequiredAttributes(event)) return false;
+  std::fill(result, result + words_, 0);
   bool any = false;
   for (const uint32_t slot : always_alive_) {
     result[slot / 64] |= 1ULL << (slot % 64);
@@ -311,8 +311,8 @@ bool CompressedCluster::MatchPresent(const Event& event, uint64_t* result,
 
 bool CompressedCluster::MatchLazy(const Event& event, uint64_t* result,
                                   MatcherStats* stats) const {
-  std::fill(result, result + words_, 0);
   if (!HasRequiredAttributes(event)) return false;
+  std::fill(result, result + words_, 0);
   stats->bitmap_words += words_;
   uint64_t evals = 0;
   bool any = false;

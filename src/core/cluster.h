@@ -89,7 +89,9 @@ class CompressedCluster {
   }
 
   /// Phase 1. Writes the attribute-coverage survivor bitmap into `result`
-  /// (words() words). Returns false if every slot is already eliminated.
+  /// (words() words). Returns false if every slot is already eliminated;
+  /// `result` is then unspecified (a cluster rejected by
+  /// required_attributes() leaves it untouched).
   /// Uses a small thread-local counter scratch internally; safe to call
   /// concurrently from multiple threads on the same cluster.
   bool ComputeAbsence(const Event& event, uint64_t* result,
@@ -110,7 +112,8 @@ class CompressedCluster {
   /// Uncompressed alternative: short-circuit evaluation of each subscription
   /// individually, writing matches as set bits of `result` (same contract as
   /// MatchCompressed so callers can switch modes per cluster — A-PCM's
-  /// adaptivity). Returns false if no slot matched.
+  /// adaptivity). Returns false if no slot matched, with `result` then
+  /// unspecified as for ComputeAbsence.
   bool MatchLazy(const Event& event, uint64_t* result,
                  MatcherStats* stats) const;
 

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "src/base/file_io.h"
 #include "src/base/macros.h"
@@ -89,6 +91,7 @@ void PcmMatcher::InitRuntime() {
   for (const CompressedCluster& cluster : clusters_) {
     max_words_ = std::max(max_words_, cluster.words());
   }
+  BuildDispatch();
   num_profiles_ = options_.hotspot_every != 0 ? clusters_.size() : 0;
   profiles_ = num_profiles_ != 0
                   ? std::make_unique<ClusterProfile[]>(num_profiles_)
@@ -101,6 +104,74 @@ void PcmMatcher::InitRuntime() {
     state->absence.assign(max_words_, 0);
     thread_states_.push_back(std::move(state));
   }
+}
+
+void PcmMatcher::BuildDispatch() {
+  // How many clusters require each attribute; a cluster is keyed on its
+  // least-required one so each key's cluster list stays short.
+  std::unordered_map<AttributeId, uint32_t> required_by;
+  for (const CompressedCluster& cluster : clusters_) {
+    for (const AttributeId attr : cluster.required_attributes()) {
+      ++required_by[attr];
+    }
+  }
+  std::vector<std::pair<AttributeId, uint32_t>> keyed;  // (key, cluster)
+  unkeyed_clusters_.clear();
+  for (uint32_t c = 0; c < clusters_.size(); ++c) {
+    const auto& required = clusters_[c].required_attributes();
+    if (required.empty()) {
+      unkeyed_clusters_.push_back(c);
+      continue;
+    }
+    AttributeId key = required[0];
+    for (const AttributeId attr : required) {
+      if (required_by[attr] < required_by[key]) key = attr;
+    }
+    keyed.emplace_back(key, c);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  dispatch_keys_.clear();
+  dispatch_offsets_.clear();
+  dispatch_clusters_.clear();
+  dispatch_clusters_.reserve(keyed.size());
+  for (const auto& [key, c] : keyed) {
+    if (dispatch_keys_.empty() || dispatch_keys_.back() != key) {
+      dispatch_keys_.push_back(key);
+      dispatch_offsets_.push_back(
+          static_cast<uint32_t>(dispatch_clusters_.size()));
+    }
+    dispatch_clusters_.push_back(c);
+  }
+  dispatch_offsets_.push_back(static_cast<uint32_t>(dispatch_clusters_.size()));
+  dispatch_mark_.assign(clusters_.size(), 0);
+  dispatch_epoch_ = 0;
+}
+
+void PcmMatcher::CollectCandidates(const Event* events, size_t num_events) {
+  if (++dispatch_epoch_ == 0) {  // wrapped: old stamps could collide
+    std::fill(dispatch_mark_.begin(), dispatch_mark_.end(), 0);
+    dispatch_epoch_ = 1;
+  }
+  candidates_.assign(unkeyed_clusters_.begin(), unkeyed_clusters_.end());
+  for (size_t ei = 0; ei < num_events; ++ei) {
+    // Both the event entries and the keys are attribute-sorted: each lookup
+    // resumes where the previous one stopped.
+    auto key = dispatch_keys_.begin();
+    for (const Event::Entry& entry : events[ei].entries()) {
+      key = std::lower_bound(key, dispatch_keys_.end(), entry.attr);
+      if (key == dispatch_keys_.end()) break;
+      if (*key != entry.attr) continue;
+      const size_t k = static_cast<size_t>(key - dispatch_keys_.begin());
+      for (uint32_t i = dispatch_offsets_[k]; i < dispatch_offsets_[k + 1];
+           ++i) {
+        const uint32_t c = dispatch_clusters_[i];
+        if (dispatch_mark_[c] == dispatch_epoch_) continue;
+        dispatch_mark_[c] = dispatch_epoch_;
+        candidates_.push_back(c);
+      }
+    }
+  }
+  std::sort(candidates_.begin(), candidates_.end());
 }
 
 void PcmMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
@@ -233,6 +304,7 @@ void PcmMatcher::Compact() {
           kept_profiles[i].candidates_checked, std::memory_order_relaxed);
     }
   }
+  BuildDispatch();
   for (SubscriptionId id : tombstones_) known_ids_.erase(id);
   tombstones_.clear();
   delta_clusters_.clear();
@@ -416,19 +488,21 @@ void PcmMatcher::MatchBatchImpl(
     return mode;
   };
 
+  CollectCandidates(events, num_events);
+  const bool adaptive = options_.mode == PcmMode::kAdaptive;
   if (options_.parallelism == ParallelismMode::kEventParallel &&
       options_.num_threads > 1) {
     // Event-parallel: modes are chosen up front (adaptive observations are
     // not recorded — per-cluster timings interleave across threads); each
-    // thread walks every cluster over its event range. No cross-thread
+    // thread walks every candidate over its event range. No cross-thread
     // merge is needed per event, but the merge loop below is shared.
-    std::vector<EvalMode> modes(clusters_.size(), EvalMode::kCompressed);
+    std::vector<EvalMode> modes(candidates_.size(), EvalMode::kCompressed);
     {
       Rng rng(options_.seed ^ (batch_counter_ * 0x9E3779B97F4A7C15ULL));
       ThreadState& ts0 = *thread_states_[0];
-      for (size_t c = 0; c < clusters_.size(); ++c) {
-        modes[c] = choose_mode(c, rng);
-        if (modes[c] == EvalMode::kCompressed) {
+      for (size_t i = 0; i < candidates_.size(); ++i) {
+        modes[i] = choose_mode(candidates_[i], rng);
+        if (modes[i] == EvalMode::kCompressed) {
           ++ts0.counters.compressed_batches;
         } else {
           ++ts0.counters.lazy_batches;
@@ -438,17 +512,18 @@ void PcmMatcher::MatchBatchImpl(
     pool_->ParallelFor(
         num_events, [&](uint64_t ebegin, uint64_t eend, int thread) {
           ThreadState& ts = *thread_states_[static_cast<size_t>(thread)];
-          for (size_t c = 0; c < clusters_.size(); ++c) {
-            eval_cluster(clusters_[c], modes[c], ebegin, eend, ts);
+          for (size_t i = 0; i < candidates_.size(); ++i) {
+            eval_cluster(clusters_[candidates_[i]], modes[i], ebegin, eend,
+                         ts);
           }
         });
   } else {
-    // Cluster-parallel with *strided* assignment: thread t owns clusters
-    // {t, t+T, t+2T, ...}. Pivot sorting makes heavy clusters (popular
-    // pivots, rarely pruned) adjacent; contiguous ranges would hand one
-    // thread most of the work, striding spreads it. Each stripe is one
-    // ParallelFor item so every cluster keeps exactly one owner per batch
-    // (the adaptive Record below relies on that).
+    // Cluster-parallel with *strided* assignment over the candidates: thread
+    // t owns candidates {t, t+T, t+2T, ...}. Pivot sorting makes heavy
+    // clusters (popular pivots, rarely pruned) adjacent; contiguous ranges
+    // would hand one thread most of the work, striding spreads it. Each
+    // stripe is one ParallelFor item so every cluster keeps exactly one
+    // owner per batch (the adaptive Record below relies on that).
     const auto num_stripes = static_cast<uint64_t>(options_.num_threads);
     // Hot-spot profiler: 1 in hotspot_every batches also attributes wall
     // time and work counters to each cluster's profile. Off the sampled
@@ -456,16 +531,21 @@ void PcmMatcher::MatchBatchImpl(
     const bool profile_batch =
         profiles_ != nullptr && num_profiles_ == clusters_.size() &&
         batch_counter_ % options_.hotspot_every == 0;
+    // Only the adaptive controller and the profiler read cluster timings;
+    // the static modes skip the clock reads.
+    const bool timed = adaptive || profile_batch;
     pool_->ParallelFor(
         num_stripes, [&](uint64_t stripe_begin, uint64_t stripe_end,
                          int thread) {
           ThreadState& ts = *thread_states_[static_cast<size_t>(thread)];
           Rng rng(options_.seed ^ (batch_counter_ * 0x9E3779B97F4A7C15ULL) ^
                   static_cast<uint64_t>(thread));
+          WallTimer cluster_timer;
           for (uint64_t stripe = stripe_begin; stripe < stripe_end;
                ++stripe) {
-            for (uint64_t c = stripe; c < clusters_.size();
-                 c += num_stripes) {
+            for (uint64_t i = stripe; i < candidates_.size();
+                 i += num_stripes) {
+              const uint32_t c = candidates_[i];
               const EvalMode mode = choose_mode(c, rng);
               if (mode == EvalMode::kCompressed) {
                 ++ts.counters.compressed_batches;
@@ -477,11 +557,12 @@ void PcmMatcher::MatchBatchImpl(
               // The adaptive controller learns from measured wall time —
               // the only cost signal that captures every real effect (cache
               // misses, branch behavior) for both modes. Timer overhead is
-              // two clock reads per (cluster, batch), noise vs. the loop.
-              WallTimer cluster_timer;
+              // two clock reads per dispatched (cluster, batch).
+              if (timed) cluster_timer.Reset();
               eval_cluster(clusters_[c], mode, 0, num_events, ts);
-              const int64_t elapsed_ns = cluster_timer.ElapsedNanos();
-              if (options_.mode == PcmMode::kAdaptive) {
+              const int64_t elapsed_ns =
+                  timed ? cluster_timer.ElapsedNanos() : 0;
+              if (adaptive) {
                 // Safe without synchronization: each cluster belongs to
                 // exactly one stripe of this ParallelFor.
                 adaptive_[c].Record(mode,

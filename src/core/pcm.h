@@ -33,11 +33,11 @@ enum class ParallelismMode {
   /// and the mode the multi-core model replays.
   kClusterParallel,
   /// Each thread owns a contiguous range of the batch's events and walks
-  /// all clusters. Perfect event-level load balance, no result merging
-  /// (each event's matches are produced by exactly one thread), but every
-  /// thread touches every cluster. Adaptive mode selection still applies,
-  /// but cost observations are not recorded in this mode (cluster timings
-  /// interleave across threads).
+  /// all of the batch's candidate clusters. Perfect event-level load
+  /// balance, no result merging (each event's matches are produced by
+  /// exactly one thread), but every thread touches every candidate.
+  /// Adaptive mode selection still applies, but cost observations are not
+  /// recorded in this mode (cluster timings interleave across threads).
   kEventParallel,
 };
 
@@ -65,17 +65,19 @@ struct PcmOptions {
   /// Hot-spot profiler: on 1 in this many batches, per-cluster wall time and
   /// work counters are accumulated for CollectHotspots. Only the
   /// cluster-parallel path records (each cluster has a single owning thread
-  /// per batch there, so the accumulators are uncontended). 0 disables
-  /// profiling entirely.
+  /// per batch there, so the accumulators are uncontended), and only for
+  /// the clusters a batch dispatches. 0 disables profiling entirely.
   uint32_t hotspot_every = 16;
 };
 
 /// The paper's contribution: (Adaptive) Parallel Compressed Matching.
 /// Subscriptions are compressed into clusters (see CompressedCluster); a
-/// batch of events is matched cluster-major — each thread owns a contiguous
-/// range of clusters and streams the whole batch through each cluster while
-/// its masks are cache-resident. With PcmMode::kAdaptive, every cluster
-/// chooses compressed vs. lazy evaluation per batch via its AdaptiveState.
+/// batch of events is first dispatched through a key-attribute table to the
+/// clusters its attributes can reach, then matched cluster-major — each
+/// thread owns a stripe of those candidate clusters and streams the whole
+/// batch through each while its masks are cache-resident. With
+/// PcmMode::kAdaptive, every candidate cluster chooses compressed vs. lazy
+/// evaluation per batch via its AdaptiveState.
 class PcmMatcher : public IncrementalMatcher {
  public:
   explicit PcmMatcher(PcmOptions options = {});
@@ -177,7 +179,8 @@ class PcmMatcher : public IncrementalMatcher {
   /// stored (1.0 = no sharing).
   double CompressionRatio() const;
 
-  /// How many (cluster, batch) decisions each mode won so far.
+  /// How many (cluster, batch) decisions each mode won so far. Only
+  /// dispatched clusters decide, so the totals count dispatched pairs.
   struct AdaptiveCounters {
     uint64_t compressed_batches = 0;
     uint64_t lazy_batches = 0;
@@ -204,6 +207,16 @@ class PcmMatcher : public IncrementalMatcher {
   /// for the current clusters_; shared by Build and LoadIndex.
   void InitRuntime();
 
+  /// Rebuilds the key-attribute dispatch table over the current clusters_.
+  /// Called wherever clusters_ changes (InitRuntime, Compact).
+  void BuildDispatch();
+
+  /// Fills candidates_ with the main clusters the batch can reach, in
+  /// ascending index order: every unkeyed cluster plus every cluster whose
+  /// key attribute some event carries. Any other cluster requires an
+  /// attribute no event of the batch has, so it could match nothing.
+  void CollectCandidates(const Event* events, size_t num_events);
+
   void MatchBatchImpl(const Event* events, size_t num_events,
                       std::vector<std::vector<SubscriptionId>>* results);
 
@@ -227,6 +240,22 @@ class PcmMatcher : public IncrementalMatcher {
   /// Adds not yet folded into the main clusters (Compact resets this
   /// without clearing delta_subs_).
   uint64_t uncompacted_adds_ = 0;
+  /// Key-attribute dispatch table. A keyed cluster's key is the one of its
+  /// required_attributes() that the fewest clusters require (the pivot or
+  /// rarer, under pivot clustering). Clusters keyed on dispatch_keys_[k]
+  /// (sorted, distinct) are dispatch_clusters_[dispatch_offsets_[k],
+  /// dispatch_offsets_[k + 1]); clusters with no required attribute are
+  /// unkeyed and reached by every batch.
+  std::vector<AttributeId> dispatch_keys_;
+  std::vector<uint32_t> dispatch_offsets_;
+  std::vector<uint32_t> dispatch_clusters_;
+  std::vector<uint32_t> unkeyed_clusters_;
+  /// Per main cluster: the epoch of the last batch that collected it, so
+  /// CollectCandidates deduplicates without clearing per batch.
+  std::vector<uint32_t> dispatch_mark_;
+  uint32_t dispatch_epoch_ = 0;
+  /// The current batch's candidate clusters (CollectCandidates output).
+  std::vector<uint32_t> candidates_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<ThreadState>> thread_states_;
   uint64_t max_words_ = 0;  ///< scratch size: widest cluster

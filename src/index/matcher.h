@@ -40,7 +40,9 @@ struct HotspotEntry {
   uint32_t cluster = 0;            ///< cluster index within its matcher
   uint32_t subscriptions = 0;      ///< expressions in the cluster
   SubscriptionId example_sub = 0;  ///< one member id, for operator lookup
-  uint64_t batches = 0;            ///< profiled (cluster, batch) evaluations
+  uint64_t batches = 0;            ///< profiled batches that dispatched the
+                                   ///< cluster (PCM skips clusters no event
+                                   ///< of a batch can reach)
   uint64_t ns = 0;                 ///< accumulated wall time, nanoseconds
   uint64_t predicate_evals = 0;
   uint64_t candidates_checked = 0;

@@ -218,15 +218,18 @@ TEST(ClusterTest, RequiredAttributesComputed) {
           Predicate(7, Op::kGt, 0)}).value());
   const auto cluster = CompressedCluster::Build(Pointers(subs));
   EXPECT_EQ(cluster.required_attributes(), (std::vector<AttributeId>{3, 7}));
-  // An event missing attr 3 is rejected by the fast path, with zeroed
-  // output, in both modes.
-  std::vector<uint64_t> result(cluster.words(), ~0ULL);
+  // An event missing attr 3 is rejected by the fast path in both modes,
+  // before any work on the output: the buffer is left exactly as it was.
+  const std::vector<uint64_t> untouched(cluster.words(), ~0ULL);
+  std::vector<uint64_t> result = untouched;
   MatcherStats stats;
   EXPECT_FALSE(cluster.ComputeAbsence(Event::Create({{5, 2}, {7, 1}}).value(),
                                       result.data(), &stats));
-  EXPECT_TRUE(IsZeroWords(result.data(), cluster.words()));
+  EXPECT_EQ(result, untouched);
   EXPECT_FALSE(cluster.MatchLazy(Event::Create({{5, 2}, {7, 1}}).value(),
                                  result.data(), &stats));
+  EXPECT_EQ(result, untouched);
+  EXPECT_EQ(stats.bitmap_words, 0u);
 }
 
 TEST(ClusterTest, MatchAllSubscriptionDisablesRequiredAttrs) {

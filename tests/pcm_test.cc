@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <sstream>
+#include <unordered_map>
+
+#include "src/base/rng.h"
 #include "tests/matcher_test_util.h"
 
 namespace apcm::core {
@@ -29,6 +35,7 @@ struct PcmParam {
   int threads;
   bool share_absence;
   uint32_t cluster_size;
+  ClusterStrategy strategy = ClusterStrategy::kPivot;
 };
 
 class PcmRandomTest
@@ -41,6 +48,7 @@ TEST_P(PcmRandomTest, AgreesWithScan) {
   options.num_threads = param.threads;
   options.share_absence_phase = param.share_absence;
   options.clustering.cluster_size = param.cluster_size;
+  options.clustering.strategy = param.strategy;
   PcmMatcher matcher(options);
   const auto workload = workload::Generate(GnarlySpec(seed)).value();
   ExpectAgreesWithScan(matcher, workload);
@@ -59,7 +67,17 @@ INSTANTIATE_TEST_SUITE_P(
             PcmParam{PcmMode::kAdaptive, 1, true, 64},
             PcmParam{PcmMode::kAdaptive, 4, true, 32},
             PcmParam{PcmMode::kCompressed, 1, true, 1},
-            PcmParam{PcmMode::kCompressed, 2, true, 1000})));
+            PcmParam{PcmMode::kCompressed, 2, true, 1000},
+            // Signature and insertion-order grouping leave most clusters
+            // without a required attribute: the unkeyed dispatch list.
+            PcmParam{PcmMode::kCompressed, 1, true, 64,
+                     ClusterStrategy::kSignature},
+            PcmParam{PcmMode::kAdaptive, 3, true, 32,
+                     ClusterStrategy::kSignature},
+            PcmParam{PcmMode::kCompressed, 1, true, 64,
+                     ClusterStrategy::kInsertionOrder},
+            PcmParam{PcmMode::kAdaptive, 2, false, 64,
+                     ClusterStrategy::kInsertionOrder})));
 
 TEST(PcmTest, EventParallelAgreesWithClusterParallel) {
   const auto workload = workload::Generate(GnarlySpec(90)).value();
@@ -204,6 +222,204 @@ TEST(PcmTest, SharedAbsencePhaseWithIdenticalSignatureRuns) {
   const auto [plain_results, plain_words] = run(false);
   EXPECT_EQ(shared_results, plain_results);
   EXPECT_LT(shared_words, plain_words);
+}
+
+/// Subscriptions on attributes 0..9, and ten more that each also constrain
+/// attribute 50, which no event of PinnedDispatchEvents carries. Pivot
+/// clustering keeps the attribute-50 subscriptions in clusters of their own.
+std::vector<BooleanExpression> PinnedDispatchSubscriptions() {
+  std::vector<BooleanExpression> subs;
+  SubscriptionId id = 0;
+  for (AttributeId attr = 0; attr < 10; ++attr) {
+    for (int i = 0; i < 20; ++i) {
+      subs.push_back(BooleanExpression::Create(
+                         id++, {Predicate(attr, Op::kLe, Value{i})})
+                         .value());
+    }
+  }
+  for (int i = 0; i < 10; ++i) {
+    subs.push_back(BooleanExpression::Create(
+                       id++, {Predicate(static_cast<AttributeId>(i), Op::kGe,
+                                        Value{0}),
+                              Predicate(50, Op::kEq, Value{i})})
+                       .value());
+  }
+  return subs;
+}
+
+std::vector<Event> PinnedDispatchEvents() {
+  std::vector<Event> events;
+  for (Value v = 0; v < 12; ++v) {
+    std::vector<Event::Entry> entries;
+    for (AttributeId attr = 0; attr < 10; ++attr) {
+      if ((attr + static_cast<AttributeId>(v)) % 3 != 0) {
+        entries.push_back({attr, v});
+      }
+    }
+    events.push_back(Event::Create(std::move(entries)).value());
+  }
+  return events;
+}
+
+bool Requires(const CompressedCluster& cluster, AttributeId attr) {
+  const auto& required = cluster.required_attributes();
+  return std::find(required.begin(), required.end(), attr) != required.end();
+}
+
+TEST(PcmDispatchTest, UnreachableClustersAreNeverProfiled) {
+  const auto subs = PinnedDispatchSubscriptions();
+  const auto events = PinnedDispatchEvents();
+  PcmOptions options = BaseOptions();
+  options.clustering.cluster_size = 8;
+  options.hotspot_every = 1;  // profile every batch
+  PcmMatcher matcher(options);
+  matcher.Build(subs);
+  size_t unreachable = 0;
+  for (const CompressedCluster& cluster : matcher.clusters()) {
+    if (Requires(cluster, 50)) ++unreachable;
+  }
+  ASSERT_GT(unreachable, 0u);
+  std::vector<std::vector<SubscriptionId>> results;
+  matcher.MatchBatch(events, &results);
+  std::vector<SubscriptionId> matches;
+  for (const Event& event : events) matcher.Match(event, &matches);
+
+  std::vector<HotspotEntry> hotspots;
+  matcher.CollectHotspots(&hotspots);
+  EXPECT_FALSE(hotspots.empty());
+  for (const HotspotEntry& entry : hotspots) {
+    EXPECT_FALSE(Requires(matcher.clusters()[entry.cluster], 50))
+        << "cluster " << entry.cluster << " requires an attribute no event "
+        << "carries, yet was profiled in " << entry.batches << " batches";
+  }
+}
+
+TEST(PcmDispatchTest, AdaptiveDecisionsCountDispatchedClustersOnly) {
+  const auto subs = PinnedDispatchSubscriptions();
+  const auto events = PinnedDispatchEvents();
+  for (ParallelismMode parallelism :
+       {ParallelismMode::kClusterParallel, ParallelismMode::kEventParallel}) {
+    PcmOptions options = BaseOptions();
+    options.clustering.cluster_size = 8;
+    options.mode = PcmMode::kAdaptive;
+    options.num_threads = 2;
+    options.parallelism = parallelism;
+    PcmMatcher matcher(options);
+    matcher.Build(subs);
+    // Every cluster here requires exactly one attribute: one of 0..9, or
+    // attribute 50, which no event carries. A batch dispatches a cluster
+    // iff some event carries its attribute.
+    auto dispatched = [&](const Event* begin, const Event* end) {
+      uint64_t count = 0;
+      for (const CompressedCluster& cluster : matcher.clusters()) {
+        bool reachable = false;
+        for (AttributeId attr = 0; attr < 10; ++attr) {
+          if (!Requires(cluster, attr)) continue;
+          for (const Event* e = begin; e != end; ++e) {
+            reachable = reachable || e->Has(attr);
+          }
+        }
+        if (reachable) ++count;
+      }
+      return count;
+    };
+    uint64_t expected = 0;
+    std::vector<SubscriptionId> matches;
+    for (const Event& event : events) {
+      matcher.Match(event, &matches);
+      expected += dispatched(&event, &event + 1);
+    }
+    std::vector<std::vector<SubscriptionId>> results;
+    matcher.MatchBatch(events, &results);
+    expected += dispatched(events.data(), events.data() + events.size());
+
+    const auto counters = matcher.adaptive_counters();
+    EXPECT_LT(expected, matcher.clusters().size() * (events.size() + 1));
+    EXPECT_EQ(counters.compressed_batches + counters.lazy_batches, expected)
+        << ParallelismModeName(parallelism);
+  }
+}
+
+/// Matches every event one at a time and as one batch; both must equal a
+/// scan over `live`.
+void ExpectMatchesLive(
+    PcmMatcher& matcher,
+    const std::unordered_map<SubscriptionId, BooleanExpression>& live,
+    const std::vector<Event>& events) {
+  std::vector<std::vector<SubscriptionId>> expected;
+  for (const Event& event : events) {
+    std::vector<SubscriptionId> ids;
+    for (const auto& [id, sub] : live) {
+      if (sub.Matches(event)) ids.push_back(id);
+    }
+    std::sort(ids.begin(), ids.end());
+    expected.push_back(std::move(ids));
+  }
+  std::vector<std::vector<SubscriptionId>> batch;
+  matcher.MatchBatch(events, &batch);
+  EXPECT_EQ(batch, expected);
+  std::vector<SubscriptionId> matches;
+  for (size_t i = 0; i < events.size(); ++i) {
+    matcher.Match(events[i], &matches);
+    EXPECT_EQ(matches, expected[i]) << "event " << i;
+  }
+}
+
+TEST(PcmDispatchTest, AgreesWithScanAfterCompactWithChurn) {
+  const auto workload = workload::Generate(GnarlySpec(101)).value();
+  const size_t half = workload.subscriptions.size() / 2;
+  const std::vector<BooleanExpression> base(
+      workload.subscriptions.begin(),
+      workload.subscriptions.begin() + static_cast<long>(half));
+  for (PcmMode mode : {PcmMode::kCompressed, PcmMode::kAdaptive}) {
+    PcmOptions options = BaseOptions();
+    options.clustering.cluster_size = 16;
+    options.mode = mode;
+    options.num_threads = 2;
+    options.delta_cluster_size = 16;
+    PcmMatcher matcher(options);
+    matcher.Build(base);
+    std::unordered_map<SubscriptionId, BooleanExpression> live;
+    for (const auto& sub : base) live.emplace(sub.id(), sub);
+    Rng rng(1011);
+    size_t next_add = half;
+    for (int round = 0; round < 4; ++round) {
+      for (int i = 0; i < 40 && next_add < workload.subscriptions.size();
+           ++i) {
+        const auto& sub = workload.subscriptions[next_add++];
+        matcher.AddIncremental(sub);
+        live.emplace(sub.id(), sub);
+      }
+      for (int i = 0; i < 20; ++i) {
+        auto it = live.begin();
+        std::advance(it, static_cast<long>(rng.Uniform(live.size())));
+        ASSERT_TRUE(matcher.RemoveIncremental(it->first).ok());
+        live.erase(it);
+      }
+      matcher.Compact();
+      ASSERT_FALSE(matcher.HasDeltaState());
+      ExpectMatchesLive(matcher, live, workload.events);
+    }
+  }
+}
+
+TEST(PcmDispatchTest, AgreesWithScanAfterLoadIndex) {
+  const auto workload = workload::Generate(GnarlySpec(102)).value();
+  std::unordered_map<SubscriptionId, BooleanExpression> live;
+  for (const auto& sub : workload.subscriptions) live.emplace(sub.id(), sub);
+  PcmOptions options = BaseOptions();
+  options.clustering.cluster_size = 16;
+  PcmMatcher original(options);
+  original.Build(workload.subscriptions);
+  std::stringstream image;
+  ASSERT_TRUE(original.SaveIndex(image).ok());
+  // A matcher that served another index before loading must not keep any
+  // of its dispatch state.
+  const auto other = workload::Generate(GnarlySpec(103)).value();
+  PcmMatcher loaded(options);
+  loaded.Build(other.subscriptions);
+  ASSERT_TRUE(loaded.LoadIndex(workload.subscriptions, image).ok());
+  ExpectMatchesLive(loaded, live, workload.events);
 }
 
 TEST(PcmTest, Names) {
