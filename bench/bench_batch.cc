@@ -1,7 +1,8 @@
 // F10 — effect of the batch size on compressed matching. Batching keeps a
-// cluster's dictionary and masks cache-resident while the whole batch
-// streams through it; throughput should climb steeply from batch=1 and
-// saturate once the per-cluster fixed costs are fully amortized.
+// cluster's dictionary and masks cache-resident while every event of the
+// batch that reaches it streams through it; throughput should climb steeply
+// from batch=1 and saturate once the per-cluster fixed costs are fully
+// amortized.
 
 #include <cstdio>
 

@@ -52,26 +52,40 @@ workload::WorkloadSpec DefaultSpec() {
 
 namespace {
 
+/// Share of the time budget streamed untimed before measuring, so a row
+/// does not include cold caches or the adaptive matcher's first exploration
+/// of both evaluation modes.
+constexpr double kWarmupFraction = 0.1;
+
 ThroughputResult Measure(Matcher& matcher, const workload::Workload& workload,
                          uint32_t batch_size, double build_seconds) {
   ThroughputResult result;
   result.build_seconds = build_seconds;
   result.memory_bytes = matcher.MemoryBytes();
-  const MatcherStats before = matcher.stats();
   const double budget = TimeBudgetSeconds();
   const auto& events = workload.events;
   std::vector<Event> batch;
   std::vector<std::vector<SubscriptionId>> batch_results;
-  uint64_t matches = 0;
   size_t cursor = 0;
-  WallTimer timer;
-  WallTimer batch_timer;
-  do {
+  auto next_batch = [&] {
     batch.clear();
     for (uint32_t i = 0; i < batch_size; ++i) {
       batch.push_back(events[cursor]);
       cursor = (cursor + 1) % events.size();
     }
+  };
+  WallTimer warmup;
+  do {
+    next_batch();
+    matcher.MatchBatch(batch, &batch_results);
+  } while (warmup.ElapsedSeconds() < budget * kWarmupFraction);
+
+  const MatcherStats before = matcher.stats();
+  uint64_t matches = 0;
+  WallTimer timer;
+  WallTimer batch_timer;
+  do {
+    next_batch();
     batch_timer.Reset();
     matcher.MatchBatch(batch, &batch_results);
     result.batch_latency_ns.Record(batch_timer.ElapsedNanos());
@@ -91,6 +105,7 @@ ThroughputResult Measure(Matcher& matcher, const workload::Workload& workload,
   result.stats.candidates_checked =
       after.candidates_checked - before.candidates_checked;
   result.stats.matches_emitted = after.matches_emitted - before.matches_emitted;
+  result.stats.cluster_visits = after.cluster_visits - before.cluster_visits;
   return result;
 }
 

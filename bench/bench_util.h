@@ -45,7 +45,9 @@ struct ThroughputResult {
 
 /// Builds `matcher` over the workload's subscriptions, then streams the
 /// workload's events through MatchBatch in batches of `batch_size`, cycling
-/// the event list until the time budget expires (at least one full batch).
+/// the event list: first untimed for a tenth of the time budget (warm-up,
+/// excluded from every reported figure), then timed until the budget
+/// expires (at least one full batch each).
 ThroughputResult MeasureThroughput(Matcher& matcher,
                                    const workload::Workload& workload,
                                    uint32_t batch_size);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -47,16 +48,6 @@ struct alignas(kCacheLineSize) PcmMatcher::ThreadState {
   MatcherStats stats;  // this batch only
   AdaptiveCounters counters;
 };
-
-const char* ParallelismModeName(ParallelismMode mode) {
-  switch (mode) {
-    case ParallelismMode::kClusterParallel:
-      return "cluster-parallel";
-    case ParallelismMode::kEventParallel:
-      return "event-parallel";
-  }
-  return "?";
-}
 
 PcmMatcher::PcmMatcher(PcmOptions options) : options_(std::move(options)) {
   APCM_CHECK(options_.num_threads >= 1);
@@ -144,6 +135,7 @@ void PcmMatcher::BuildDispatch() {
   }
   dispatch_offsets_.push_back(static_cast<uint32_t>(dispatch_clusters_.size()));
   dispatch_mark_.assign(clusters_.size(), 0);
+  dispatch_count_.assign(clusters_.size(), 0);
   dispatch_epoch_ = 0;
 }
 
@@ -152,10 +144,15 @@ void PcmMatcher::CollectCandidates(const Event* events, size_t num_events) {
     std::fill(dispatch_mark_.begin(), dispatch_mark_.end(), 0);
     dispatch_epoch_ = 1;
   }
+  APCM_CHECK(num_events <= std::numeric_limits<uint32_t>::max());
+  const auto all_events = static_cast<uint32_t>(num_events);
   candidates_.assign(unkeyed_clusters_.begin(), unkeyed_clusters_.end());
-  for (size_t ei = 0; ei < num_events; ++ei) {
+  for (const uint32_t c : unkeyed_clusters_) dispatch_count_[c] = all_events;
+  dispatch_pairs_.clear();
+  for (uint32_t ei = 0; ei < all_events; ++ei) {
     // Both the event entries and the keys are attribute-sorted: each lookup
-    // resumes where the previous one stopped.
+    // resumes where the previous one stopped. A cluster has one key and an
+    // event carries each attribute once, so no pair repeats.
     auto key = dispatch_keys_.begin();
     for (const Event::Entry& entry : events[ei].entries()) {
       key = std::lower_bound(key, dispatch_keys_.end(), entry.attr);
@@ -165,13 +162,37 @@ void PcmMatcher::CollectCandidates(const Event* events, size_t num_events) {
       for (uint32_t i = dispatch_offsets_[k]; i < dispatch_offsets_[k + 1];
            ++i) {
         const uint32_t c = dispatch_clusters_[i];
-        if (dispatch_mark_[c] == dispatch_epoch_) continue;
-        dispatch_mark_[c] = dispatch_epoch_;
-        candidates_.push_back(c);
+        dispatch_pairs_.emplace_back(c, ei);
+        if (dispatch_mark_[c] != dispatch_epoch_) {
+          dispatch_mark_[c] = dispatch_epoch_;
+          dispatch_count_[c] = 0;
+          candidates_.push_back(c);
+        }
+        ++dispatch_count_[c];
       }
     }
   }
   std::sort(candidates_.begin(), candidates_.end());
+
+  // Counting sort: each candidate's count becomes its write cursor. The
+  // pairs are in event order, so every list comes out ascending.
+  candidate_offsets_.resize(candidates_.size() + 1);
+  uint32_t offset = 0;
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    const uint32_t c = candidates_[i];
+    candidate_offsets_[i] = offset;
+    offset += std::exchange(dispatch_count_[c], offset);
+  }
+  candidate_offsets_.back() = offset;
+  candidate_events_.resize(offset);
+  for (const uint32_t c : unkeyed_clusters_) {
+    for (uint32_t ei = 0; ei < all_events; ++ei) {
+      candidate_events_[dispatch_count_[c]++] = ei;
+    }
+  }
+  for (const auto& [c, ei] : dispatch_pairs_) {
+    candidate_events_[dispatch_count_[c]++] = ei;
+  }
 }
 
 void PcmMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
@@ -434,15 +455,18 @@ void PcmMatcher::MatchBatchImpl(
     for (size_t i = 0; i < num_events; ++i) state->per_event[i].clear();
   }
 
-  // Matches `cluster` against events [ebegin, eend) in `mode`, using ts's
-  // scratch and appending matches to ts.per_event. Shared by both
-  // parallelism partitionings.
+  // Matches `cluster` in `mode` against the events indexed by
+  // [ebegin, eend), which ascend, using ts's scratch and appending matches
+  // to ts.per_event.
   auto eval_cluster = [&](const CompressedCluster& cluster, EvalMode mode,
-                          size_t ebegin, size_t eend, ThreadState& ts) {
+                          const uint32_t* ebegin, const uint32_t* eend,
+                          ThreadState& ts) {
     ts.cache_valid = false;
+    ts.stats.cluster_visits += static_cast<uint64_t>(eend - ebegin);
     const uint64_t words = cluster.words();
     uint64_t* result = ts.result.data();
-    for (size_t ei = ebegin; ei < eend; ++ei) {
+    for (const uint32_t* it = ebegin; it != eend; ++it) {
+      const uint32_t ei = *it;
       const Event& event = events[ei];
       bool alive = false;
       if (mode == EvalMode::kCompressed) {
@@ -490,103 +514,80 @@ void PcmMatcher::MatchBatchImpl(
 
   CollectCandidates(events, num_events);
   const bool adaptive = options_.mode == PcmMode::kAdaptive;
-  if (options_.parallelism == ParallelismMode::kEventParallel &&
-      options_.num_threads > 1) {
-    // Event-parallel: modes are chosen up front (adaptive observations are
-    // not recorded — per-cluster timings interleave across threads); each
-    // thread walks every candidate over its event range. No cross-thread
-    // merge is needed per event, but the merge loop below is shared.
-    std::vector<EvalMode> modes(candidates_.size(), EvalMode::kCompressed);
-    {
-      Rng rng(options_.seed ^ (batch_counter_ * 0x9E3779B97F4A7C15ULL));
-      ThreadState& ts0 = *thread_states_[0];
-      for (size_t i = 0; i < candidates_.size(); ++i) {
-        modes[i] = choose_mode(candidates_[i], rng);
-        if (modes[i] == EvalMode::kCompressed) {
-          ++ts0.counters.compressed_batches;
-        } else {
-          ++ts0.counters.lazy_batches;
-        }
-      }
-    }
-    pool_->ParallelFor(
-        num_events, [&](uint64_t ebegin, uint64_t eend, int thread) {
-          ThreadState& ts = *thread_states_[static_cast<size_t>(thread)];
-          for (size_t i = 0; i < candidates_.size(); ++i) {
-            eval_cluster(clusters_[candidates_[i]], modes[i], ebegin, eend,
-                         ts);
-          }
-        });
-  } else {
-    // Cluster-parallel with *strided* assignment over the candidates: thread
-    // t owns candidates {t, t+T, t+2T, ...}. Pivot sorting makes heavy
-    // clusters (popular pivots, rarely pruned) adjacent; contiguous ranges
-    // would hand one thread most of the work, striding spreads it. Each
-    // stripe is one ParallelFor item so every cluster keeps exactly one
-    // owner per batch (the adaptive Record below relies on that).
-    const auto num_stripes = static_cast<uint64_t>(options_.num_threads);
-    // Hot-spot profiler: 1 in hotspot_every batches also attributes wall
-    // time and work counters to each cluster's profile. Off the sampled
-    // batches the only cost is this one bool.
-    const bool profile_batch =
-        profiles_ != nullptr && num_profiles_ == clusters_.size() &&
-        batch_counter_ % options_.hotspot_every == 0;
-    // Only the adaptive controller and the profiler read cluster timings;
-    // the static modes skip the clock reads.
-    const bool timed = adaptive || profile_batch;
-    pool_->ParallelFor(
-        num_stripes, [&](uint64_t stripe_begin, uint64_t stripe_end,
-                         int thread) {
-          ThreadState& ts = *thread_states_[static_cast<size_t>(thread)];
-          Rng rng(options_.seed ^ (batch_counter_ * 0x9E3779B97F4A7C15ULL) ^
-                  static_cast<uint64_t>(thread));
-          WallTimer cluster_timer;
-          for (uint64_t stripe = stripe_begin; stripe < stripe_end;
-               ++stripe) {
-            for (uint64_t i = stripe; i < candidates_.size();
-                 i += num_stripes) {
-              const uint32_t c = candidates_[i];
-              const EvalMode mode = choose_mode(c, rng);
-              if (mode == EvalMode::kCompressed) {
-                ++ts.counters.compressed_batches;
-              } else {
-                ++ts.counters.lazy_batches;
-              }
-              const uint64_t evals_before = ts.stats.predicate_evals;
-              const uint64_t cands_before = ts.stats.candidates_checked;
-              // The adaptive controller learns from measured wall time —
-              // the only cost signal that captures every real effect (cache
-              // misses, branch behavior) for both modes. Timer overhead is
-              // two clock reads per dispatched (cluster, batch).
-              if (timed) cluster_timer.Reset();
-              eval_cluster(clusters_[c], mode, 0, num_events, ts);
-              const int64_t elapsed_ns =
-                  timed ? cluster_timer.ElapsedNanos() : 0;
-              if (adaptive) {
-                // Safe without synchronization: each cluster belongs to
-                // exactly one stripe of this ParallelFor.
-                adaptive_[c].Record(mode,
-                                    static_cast<double>(elapsed_ns) /
-                                        static_cast<double>(num_events));
-              }
-              if (profile_batch) {
-                // Relaxed is enough: the cluster's single owner this batch
-                // is the only writer; readers want counts, not ordering.
-                ClusterProfile& p = profiles_[c];
-                p.batches.fetch_add(1, std::memory_order_relaxed);
-                p.ns.fetch_add(static_cast<uint64_t>(elapsed_ns),
-                               std::memory_order_relaxed);
-                p.predicate_evals.fetch_add(
-                    ts.stats.predicate_evals - evals_before,
-                    std::memory_order_relaxed);
-                p.candidates_checked.fetch_add(
-                    ts.stats.candidates_checked - cands_before,
-                    std::memory_order_relaxed);
-              }
+  // Cluster-parallel with *strided* assignment over the candidates: thread
+  // t owns candidates {t, t+T, t+2T, ...}. Pivot sorting makes heavy
+  // clusters (popular pivots, rarely pruned) adjacent; contiguous ranges
+  // would hand one thread most of the work, striding spreads it. Each
+  // stripe is one ParallelFor item so every cluster keeps exactly one
+  // owner per batch (the adaptive Record below relies on that).
+  const auto num_stripes = static_cast<uint64_t>(options_.num_threads);
+  // Hot-spot profiler: 1 in hotspot_every batches also attributes wall
+  // time and work counters to each cluster's profile. Off the sampled
+  // batches the only cost is this one bool.
+  const bool profile_batch =
+      profiles_ != nullptr && num_profiles_ == clusters_.size() &&
+      batch_counter_ % options_.hotspot_every == 0;
+  // Only the adaptive controller and the profiler read cluster timings;
+  // the static modes skip the clock reads.
+  const bool timed = adaptive || profile_batch;
+  pool_->ParallelFor(
+      num_stripes, [&](uint64_t stripe_begin, uint64_t stripe_end,
+                       int thread) {
+        ThreadState& ts = *thread_states_[static_cast<size_t>(thread)];
+        Rng rng(options_.seed ^ (batch_counter_ * 0x9E3779B97F4A7C15ULL) ^
+                static_cast<uint64_t>(thread));
+        WallTimer cluster_timer;
+        for (uint64_t stripe = stripe_begin; stripe < stripe_end;
+             ++stripe) {
+          for (uint64_t i = stripe; i < candidates_.size();
+               i += num_stripes) {
+            const uint32_t c = candidates_[i];
+            const EvalMode mode = choose_mode(c, rng);
+            if (mode == EvalMode::kCompressed) {
+              ++ts.counters.compressed_batches;
+            } else {
+              ++ts.counters.lazy_batches;
+            }
+            const uint32_t* ebegin =
+                candidate_events_.data() + candidate_offsets_[i];
+            const uint32_t* eend =
+                candidate_events_.data() + candidate_offsets_[i + 1];
+            const uint64_t evals_before = ts.stats.predicate_evals;
+            const uint64_t cands_before = ts.stats.candidates_checked;
+            // The adaptive controller learns from measured wall time —
+            // the only cost signal that captures every real effect (cache
+            // misses, branch behavior) for both modes. Timer overhead is
+            // two clock reads per dispatched (cluster, batch).
+            if (timed) cluster_timer.Reset();
+            eval_cluster(clusters_[c], mode, ebegin, eend, ts);
+            const int64_t elapsed_ns =
+                timed ? cluster_timer.ElapsedNanos() : 0;
+            if (adaptive) {
+              // Cost per event the cluster was given (never zero: a
+              // candidate is reached by at least one event). Safe
+              // without synchronization: each cluster belongs to exactly
+              // one stripe of this ParallelFor.
+              adaptive_[c].Record(mode,
+                                  static_cast<double>(elapsed_ns) /
+                                      static_cast<double>(eend - ebegin));
+            }
+            if (profile_batch) {
+              // Relaxed is enough: the cluster's single owner this batch
+              // is the only writer; readers want counts, not ordering.
+              ClusterProfile& p = profiles_[c];
+              p.batches.fetch_add(1, std::memory_order_relaxed);
+              p.ns.fetch_add(static_cast<uint64_t>(elapsed_ns),
+                             std::memory_order_relaxed);
+              p.predicate_evals.fetch_add(
+                  ts.stats.predicate_evals - evals_before,
+                  std::memory_order_relaxed);
+              p.candidates_checked.fetch_add(
+                  ts.stats.candidates_checked - cands_before,
+                  std::memory_order_relaxed);
             }
           }
-        });
-  }
+        }
+      });
 
   // Incremental state is small; the caller thread handles it directly,
   // appending into worker 0's per-event lists.
@@ -594,6 +595,7 @@ void PcmMatcher::MatchBatchImpl(
     ThreadState& ts = *thread_states_[0];
     uint64_t* result = ts.result.data();
     for (const CompressedCluster& cluster : delta_clusters_) {
+      ts.stats.cluster_visits += num_events;
       for (size_t ei = 0; ei < num_events; ++ei) {
         if (cluster.MatchCompressed(events[ei], result, &ts.stats)) {
           cluster.CollectMatches(result, &ts.per_event[ei]);

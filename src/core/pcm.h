@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/base/thread_pool.h"
@@ -24,33 +25,11 @@ enum class PcmMode {
   kAdaptive,    ///< per-cluster adaptive choice ("A-PCM")
 };
 
-/// Which axis of the (cluster x event) work matrix is partitioned across
-/// threads.
-enum class ParallelismMode {
-  /// Each thread owns a contiguous range of clusters and streams the whole
-  /// batch through them. Best cache behavior (cluster state stays
-  /// thread-local); load balance depends on cluster work skew. The default
-  /// and the mode the multi-core model replays.
-  kClusterParallel,
-  /// Each thread owns a contiguous range of the batch's events and walks
-  /// all of the batch's candidate clusters. Perfect event-level load
-  /// balance, no result merging (each event's matches are produced by
-  /// exactly one thread), but every thread touches every candidate.
-  /// Adaptive mode selection still applies, but cost observations are not
-  /// recorded in this mode (cluster timings interleave across threads).
-  kEventParallel,
-};
-
-/// Printable name ("cluster-parallel" / "event-parallel").
-const char* ParallelismModeName(ParallelismMode mode);
-
 struct PcmOptions {
   ClusterBuilderOptions clustering;
   PcmMode mode = PcmMode::kAdaptive;
   /// Worker threads for batch matching. 1 = fully sequential.
   int num_threads = 1;
-  /// How work is split across threads (see ParallelismMode).
-  ParallelismMode parallelism = ParallelismMode::kClusterParallel;
   /// Reuse the absence phase (phase 1) across consecutive batch events with
   /// the same attribute signature — the algorithmic payoff of OSR.
   bool share_absence_phase = true;
@@ -63,21 +42,23 @@ struct PcmOptions {
   /// Seed of the (deterministic) exploration stream.
   uint64_t seed = 1;
   /// Hot-spot profiler: on 1 in this many batches, per-cluster wall time and
-  /// work counters are accumulated for CollectHotspots. Only the
-  /// cluster-parallel path records (each cluster has a single owning thread
-  /// per batch there, so the accumulators are uncontended), and only for
-  /// the clusters a batch dispatches. 0 disables profiling entirely.
+  /// work counters are accumulated for CollectHotspots, only for the
+  /// clusters a batch dispatches (each has a single owning thread per batch,
+  /// so the accumulators are uncontended). 0 disables profiling entirely.
   uint32_t hotspot_every = 16;
 };
 
 /// The paper's contribution: (Adaptive) Parallel Compressed Matching.
-/// Subscriptions are compressed into clusters (see CompressedCluster); a
-/// batch of events is first dispatched through a key-attribute table to the
-/// clusters its attributes can reach, then matched cluster-major — each
-/// thread owns a stripe of those candidate clusters and streams the whole
-/// batch through each while its masks are cache-resident. With
-/// PcmMode::kAdaptive, every candidate cluster chooses compressed vs. lazy
-/// evaluation per batch via its AdaptiveState.
+/// Subscriptions are compressed into clusters (see CompressedCluster). Each
+/// event of a batch is first dispatched through a key-attribute table to the
+/// clusters its attributes can reach, which yields, per candidate cluster,
+/// the ascending list of batch events that reach it. Matching is then
+/// cluster-major: each thread owns a stripe of the candidate clusters and
+/// streams through each only the events on its list, while the cluster's
+/// masks are cache-resident, so the (cluster, event) pairs evaluated are
+/// exactly the pairs reached. With PcmMode::kAdaptive, every candidate
+/// cluster chooses compressed vs. lazy evaluation per batch via its
+/// AdaptiveState.
 class PcmMatcher : public IncrementalMatcher {
  public:
   explicit PcmMatcher(PcmOptions options = {});
@@ -214,7 +195,11 @@ class PcmMatcher : public IncrementalMatcher {
   /// Fills candidates_ with the main clusters the batch can reach, in
   /// ascending index order: every unkeyed cluster plus every cluster whose
   /// key attribute some event carries. Any other cluster requires an
-  /// attribute no event of the batch has, so it could match nothing.
+  /// attribute no event of the batch has, so it could match nothing. Also
+  /// fills the CSR candidate_offsets_/candidate_events_: the ascending
+  /// indices of the events that reach each candidate (all of them for an
+  /// unkeyed cluster), placed by a counting sort over the (event, cluster)
+  /// pairs the key lookups produce.
   void CollectCandidates(const Event* events, size_t num_events);
 
   void MatchBatchImpl(const Event* events, size_t num_events,
@@ -254,8 +239,18 @@ class PcmMatcher : public IncrementalMatcher {
   /// CollectCandidates deduplicates without clearing per batch.
   std::vector<uint32_t> dispatch_mark_;
   uint32_t dispatch_epoch_ = 0;
+  /// Per main cluster: how many of the current batch's events reach it,
+  /// then its write cursor into candidate_events_. Valid only for clusters
+  /// stamped with the current epoch (or unkeyed), so never cleared.
+  std::vector<uint32_t> dispatch_count_;
+  /// The current batch's (cluster, event) dispatch pairs, in event order.
+  std::vector<std::pair<uint32_t, uint32_t>> dispatch_pairs_;
   /// The current batch's candidate clusters (CollectCandidates output).
+  /// The events reaching candidates_[i] are candidate_events_[
+  /// candidate_offsets_[i], candidate_offsets_[i + 1]), ascending.
   std::vector<uint32_t> candidates_;
+  std::vector<uint32_t> candidate_offsets_;
+  std::vector<uint32_t> candidate_events_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<ThreadState>> thread_states_;
   uint64_t max_words_ = 0;  ///< scratch size: widest cluster

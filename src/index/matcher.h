@@ -20,6 +20,8 @@ struct MatcherStats {
   uint64_t bitmap_words = 0;       ///< 64-bit bitmap words touched
   uint64_t candidates_checked = 0; ///< expressions examined (full or partial)
   uint64_t matches_emitted = 0;    ///< total (event, subscription) matches
+  uint64_t cluster_visits = 0;     ///< (cluster, event) pairs evaluated by
+                                   ///< clustered matchers (PCM)
 
   MatcherStats& operator+=(const MatcherStats& other) {
     events_matched += other.events_matched;
@@ -27,6 +29,7 @@ struct MatcherStats {
     bitmap_words += other.bitmap_words;
     candidates_checked += other.candidates_checked;
     matches_emitted += other.matches_emitted;
+    cluster_visits += other.cluster_visits;
     return *this;
   }
 };

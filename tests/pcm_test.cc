@@ -79,39 +79,6 @@ INSTANTIATE_TEST_SUITE_P(
             PcmParam{PcmMode::kAdaptive, 2, false, 64,
                      ClusterStrategy::kInsertionOrder})));
 
-TEST(PcmTest, EventParallelAgreesWithClusterParallel) {
-  const auto workload = workload::Generate(GnarlySpec(90)).value();
-  for (PcmMode mode :
-       {PcmMode::kCompressed, PcmMode::kLazy, PcmMode::kAdaptive}) {
-    PcmOptions options = BaseOptions();
-    options.mode = mode;
-    options.num_threads = 3;
-    options.parallelism = ParallelismMode::kEventParallel;
-    PcmMatcher matcher(options);
-    ExpectAgreesWithScan(matcher, workload);
-
-    // Batch API across both partitionings.
-    PcmMatcher event_parallel(options);
-    event_parallel.Build(workload.subscriptions);
-    std::vector<std::vector<SubscriptionId>> ep_results;
-    event_parallel.MatchBatch(workload.events, &ep_results);
-
-    options.parallelism = ParallelismMode::kClusterParallel;
-    PcmMatcher cluster_parallel(options);
-    cluster_parallel.Build(workload.subscriptions);
-    std::vector<std::vector<SubscriptionId>> cp_results;
-    cluster_parallel.MatchBatch(workload.events, &cp_results);
-    EXPECT_EQ(ep_results, cp_results);
-  }
-}
-
-TEST(PcmTest, ParallelismModeNames) {
-  EXPECT_STREQ(ParallelismModeName(ParallelismMode::kClusterParallel),
-               "cluster-parallel");
-  EXPECT_STREQ(ParallelismModeName(ParallelismMode::kEventParallel),
-               "event-parallel");
-}
-
 TEST(PcmTest, BatchMatchesSingleEventApi) {
   const auto workload = workload::Generate(GnarlySpec(93)).value();
   PcmOptions options = BaseOptions();
@@ -297,46 +264,95 @@ TEST(PcmDispatchTest, UnreachableClustersAreNeverProfiled) {
 TEST(PcmDispatchTest, AdaptiveDecisionsCountDispatchedClustersOnly) {
   const auto subs = PinnedDispatchSubscriptions();
   const auto events = PinnedDispatchEvents();
-  for (ParallelismMode parallelism :
-       {ParallelismMode::kClusterParallel, ParallelismMode::kEventParallel}) {
-    PcmOptions options = BaseOptions();
-    options.clustering.cluster_size = 8;
-    options.mode = PcmMode::kAdaptive;
-    options.num_threads = 2;
-    options.parallelism = parallelism;
-    PcmMatcher matcher(options);
-    matcher.Build(subs);
-    // Every cluster here requires exactly one attribute: one of 0..9, or
-    // attribute 50, which no event carries. A batch dispatches a cluster
-    // iff some event carries its attribute.
-    auto dispatched = [&](const Event* begin, const Event* end) {
-      uint64_t count = 0;
-      for (const CompressedCluster& cluster : matcher.clusters()) {
-        bool reachable = false;
-        for (AttributeId attr = 0; attr < 10; ++attr) {
-          if (!Requires(cluster, attr)) continue;
-          for (const Event* e = begin; e != end; ++e) {
-            reachable = reachable || e->Has(attr);
-          }
+  PcmOptions options = BaseOptions();
+  options.clustering.cluster_size = 8;
+  options.mode = PcmMode::kAdaptive;
+  options.num_threads = 2;
+  PcmMatcher matcher(options);
+  matcher.Build(subs);
+  // Every cluster here requires exactly one attribute: one of 0..9, or
+  // attribute 50, which no event carries. A batch dispatches a cluster iff
+  // some event carries its attribute.
+  auto dispatched = [&](const Event* begin, const Event* end) {
+    uint64_t count = 0;
+    for (const CompressedCluster& cluster : matcher.clusters()) {
+      bool reachable = false;
+      for (AttributeId attr = 0; attr < 10; ++attr) {
+        if (!Requires(cluster, attr)) continue;
+        for (const Event* e = begin; e != end; ++e) {
+          reachable = reachable || e->Has(attr);
         }
-        if (reachable) ++count;
       }
-      return count;
-    };
-    uint64_t expected = 0;
-    std::vector<SubscriptionId> matches;
-    for (const Event& event : events) {
-      matcher.Match(event, &matches);
-      expected += dispatched(&event, &event + 1);
+      if (reachable) ++count;
     }
-    std::vector<std::vector<SubscriptionId>> results;
-    matcher.MatchBatch(events, &results);
-    expected += dispatched(events.data(), events.data() + events.size());
+    return count;
+  };
+  uint64_t expected = 0;
+  std::vector<SubscriptionId> matches;
+  for (const Event& event : events) {
+    matcher.Match(event, &matches);
+    expected += dispatched(&event, &event + 1);
+  }
+  std::vector<std::vector<SubscriptionId>> results;
+  matcher.MatchBatch(events, &results);
+  expected += dispatched(events.data(), events.data() + events.size());
 
-    const auto counters = matcher.adaptive_counters();
-    EXPECT_LT(expected, matcher.clusters().size() * (events.size() + 1));
-    EXPECT_EQ(counters.compressed_batches + counters.lazy_batches, expected)
-        << ParallelismModeName(parallelism);
+  const auto counters = matcher.adaptive_counters();
+  EXPECT_LT(expected, matcher.clusters().size() * (events.size() + 1));
+  EXPECT_EQ(counters.compressed_batches + counters.lazy_batches, expected);
+}
+
+/// The (cluster, event) pairs a PCM index over PinnedDispatchSubscriptions
+/// must evaluate for `events`: every event for a cluster without required
+/// attributes, else the events that carry its one required attribute.
+uint64_t ReachedPairs(const std::vector<CompressedCluster>& clusters,
+                      const std::vector<Event>& events) {
+  uint64_t pairs = 0;
+  for (const CompressedCluster& cluster : clusters) {
+    const auto& required = cluster.required_attributes();
+    EXPECT_LE(required.size(), 1u);
+    for (const Event& event : events) {
+      if (required.empty() || event.Has(required[0])) ++pairs;
+    }
+  }
+  return pairs;
+}
+
+TEST(PcmDispatchTest, BatchVisitsOnlyReachedClusterEventPairs) {
+  const auto subs = PinnedDispatchSubscriptions();
+  const auto events = PinnedDispatchEvents();
+  for (const ClusterStrategy strategy :
+       {ClusterStrategy::kPivot, ClusterStrategy::kSignature}) {
+    for (const int threads : {1, 3}) {
+      PcmOptions options = BaseOptions();
+      options.clustering.cluster_size = 8;
+      options.clustering.strategy = strategy;
+      options.num_threads = threads;
+      PcmMatcher matcher(options);
+      matcher.Build(subs);
+      const uint64_t reached = ReachedPairs(matcher.clusters(), events);
+      if (strategy == ClusterStrategy::kSignature) {
+        // The row must exercise the unkeyed list.
+        ASSERT_TRUE(std::any_of(
+            matcher.clusters().begin(), matcher.clusters().end(),
+            [](const CompressedCluster& cluster) {
+              return cluster.required_attributes().empty();
+            }));
+      }
+      // A batch of all events visits the same pairs as one-event calls.
+      std::vector<std::vector<SubscriptionId>> results;
+      matcher.MatchBatch(events, &results);
+      const uint64_t batch_visits = matcher.stats().cluster_visits;
+      std::vector<SubscriptionId> matches;
+      for (const Event& event : events) matcher.Match(event, &matches);
+      const uint64_t single_visits =
+          matcher.stats().cluster_visits - batch_visits;
+      EXPECT_EQ(batch_visits, reached)
+          << ClusterStrategyName(strategy) << ", " << threads << " threads";
+      EXPECT_EQ(single_visits, reached)
+          << ClusterStrategyName(strategy) << ", " << threads << " threads";
+      EXPECT_LT(reached, matcher.clusters().size() * events.size());
+    }
   }
 }
 
