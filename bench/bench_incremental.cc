@@ -4,6 +4,7 @@
 // threshold).
 
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "src/base/string_util.h"
@@ -60,7 +61,8 @@ void Run() {
     size_t applied = 0;
     while (cursor < extra.size() &&
            matcher.DeltaFraction() < target) {
-      matcher.AddIncremental(extra[cursor++]);
+      matcher.AddIncremental(
+          std::make_shared<const BooleanExpression>(extra[cursor++]));
       ++applied;
     }
     const double add_seconds = timer.ElapsedSeconds();

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/base/string_util.h"
 #include "src/base/timer.h"
@@ -203,8 +204,11 @@ int MatchIndexed(const std::string& trace_path,
   if (!workload.ok()) return Fail(workload.status());
   apcm::core::PcmMatcher matcher{apcm::core::PcmOptions{}};
   apcm::WallTimer load_timer;
-  const Status loaded =
-      matcher.LoadIndex(workload->subscriptions, index_path);
+  std::vector<const apcm::BooleanExpression*> subscriptions;
+  for (const apcm::BooleanExpression& sub : workload->subscriptions) {
+    subscriptions.push_back(&sub);
+  }
+  const Status loaded = matcher.LoadIndex(subscriptions, index_path);
   if (!loaded.ok()) return Fail(loaded);
   std::printf("index loaded in %.3fs (vs. a fresh build)\n",
               load_timer.ElapsedSeconds());

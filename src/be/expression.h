@@ -1,6 +1,7 @@
 #ifndef APCM_BE_EXPRESSION_H_
 #define APCM_BE_EXPRESSION_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,12 @@ class BooleanExpression {
   SubscriptionId id_ = kInvalidSubscriptionId;
   std::vector<Predicate> predicates_;  // sorted by attribute, distinct attrs
 };
+
+/// Shared, immutable handle to one expression. The engine creates one per
+/// subscription; its master list, every snapshot, the PCM delta path and
+/// checkpoint capture share it, so each expression is stored once and
+/// freed when its last holder lets go.
+using ExpressionHandle = std::shared_ptr<const BooleanExpression>;
 
 }  // namespace apcm
 

@@ -74,7 +74,7 @@ std::vector<CompressedCluster> BuildClusters(
 }
 
 std::vector<CompressedCluster> BuildClustersFromPointers(
-    const std::vector<const BooleanExpression*>& subscriptions,
+    std::span<const BooleanExpression* const> subscriptions,
     const ClusterBuilderOptions& options) {
   APCM_CHECK(options.cluster_size >= 1);
   const auto n = static_cast<uint32_t>(subscriptions.size());

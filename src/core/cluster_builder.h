@@ -2,6 +2,7 @@
 #define APCM_CORE_CLUSTER_BUILDER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -42,10 +43,11 @@ std::vector<CompressedCluster> BuildClusters(
     const std::vector<BooleanExpression>& subscriptions,
     const ClusterBuilderOptions& options);
 
-/// Pointer-based variant for callers that regroup an existing selection
-/// (e.g. PcmMatcher::Compact). Pointers must outlive the clusters.
+/// Pointer-based variant: PcmMatcher::Build and the regrouping in
+/// PcmMatcher::Compact. The clusters keep the pointers (not the span), so
+/// the pointees must outlive them.
 std::vector<CompressedCluster> BuildClustersFromPointers(
-    const std::vector<const BooleanExpression*>& subscriptions,
+    std::span<const BooleanExpression* const> subscriptions,
     const ClusterBuilderOptions& options);
 
 }  // namespace apcm::core

@@ -195,20 +195,24 @@ void PcmMatcher::CollectCandidates(const Event* events, size_t num_events) {
   }
 }
 
-void PcmMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
-  clusters_ = BuildClusters(subscriptions, options_.clustering);
+void PcmMatcher::Build(
+    std::span<const BooleanExpression* const> subscriptions) {
+  clusters_ = BuildClustersFromPointers(subscriptions, options_.clustering);
   known_ids_.clear();
-  for (const auto& sub : subscriptions) known_ids_.insert(sub.id());
+  for (const BooleanExpression* sub : subscriptions) {
+    known_ids_.insert(sub->id());
+  }
   InitRuntime();
 }
 
-void PcmMatcher::AddIncremental(BooleanExpression subscription) {
+void PcmMatcher::AddIncremental(ExpressionHandle subscription) {
   APCM_CHECK(pool_ != nullptr);  // Build must have run (possibly empty)
-  APCM_CHECK(!known_ids_.contains(subscription.id()));  // ids are never reused
-  known_ids_.insert(subscription.id());
+  APCM_CHECK(subscription != nullptr);
+  APCM_CHECK(!known_ids_.contains(subscription->id()));  // ids never reused
+  known_ids_.insert(subscription->id());
   ++uncompacted_adds_;
+  delta_pending_.push_back(subscription.get());
   delta_subs_.push_back(std::move(subscription));
-  delta_pending_.push_back(&delta_subs_.back());
   if (delta_pending_.size() >= options_.delta_cluster_size) {
     CompressedCluster::Options cluster_options =
         options_.clustering.cluster_options;
@@ -365,7 +369,7 @@ Status PcmMatcher::SaveIndex(const std::string& path) const {
 }
 
 Status PcmMatcher::LoadIndex(
-    const std::vector<BooleanExpression>& subscriptions,
+    std::span<const BooleanExpression* const> subscriptions,
     const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open '" + path + "' for reading");
@@ -373,7 +377,8 @@ Status PcmMatcher::LoadIndex(
 }
 
 Status PcmMatcher::LoadIndex(
-    const std::vector<BooleanExpression>& subscriptions, std::istream& in) {
+    std::span<const BooleanExpression* const> subscriptions,
+    std::istream& in) {
   char magic[sizeof(kIndexMagic)] = {};
   in.read(magic, sizeof(magic));
   if (!in || std::string_view(magic, sizeof(magic) - 1) !=
@@ -387,8 +392,8 @@ Status PcmMatcher::LoadIndex(
   }
   std::unordered_map<SubscriptionId, const BooleanExpression*> subs_by_id;
   subs_by_id.reserve(subscriptions.size());
-  for (const auto& sub : subscriptions) {
-    subs_by_id.emplace(sub.id(), &sub);
+  for (const BooleanExpression* sub : subscriptions) {
+    subs_by_id.emplace(sub->id(), sub);
   }
   std::vector<CompressedCluster> clusters;
   clusters.reserve(
@@ -407,7 +412,9 @@ Status PcmMatcher::LoadIndex(
   }
   clusters_ = std::move(clusters);
   known_ids_.clear();
-  for (const auto& sub : subscriptions) known_ids_.insert(sub.id());
+  for (const BooleanExpression* sub : subscriptions) {
+    known_ids_.insert(sub->id());
+  }
   InitRuntime();
   return Status::OK();
 }
@@ -666,7 +673,7 @@ uint64_t PcmMatcher::MemoryBytes() const {
   for (const CompressedCluster& cluster : delta_clusters_) {
     bytes += cluster.MemoryBytes();
   }
-  bytes += delta_subs_.size() * sizeof(BooleanExpression) +
+  bytes += delta_subs_.capacity() * sizeof(delta_subs_[0]) +
            (tombstones_.size() + known_ids_.size()) *
                (sizeof(SubscriptionId) + 8);
   for (const auto& state : thread_states_) {

@@ -2,9 +2,9 @@
 #define APCM_CORE_PCM_H_
 
 #include <atomic>
-#include <deque>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -66,16 +66,17 @@ class PcmMatcher : public IncrementalMatcher {
 
   std::string Name() const override;
 
-  void Build(const std::vector<BooleanExpression>& subscriptions) override;
+  using Matcher::Build;
+  void Build(std::span<const BooleanExpression* const> subscriptions) override;
 
   /// Incremental maintenance — production engines cannot afford a full
-  /// rebuild per subscription change. Additions are copied into owned side
-  /// storage and compressed into *delta clusters* once
+  /// rebuild per subscription change. The matcher keeps each added handle
+  /// (no copy) and compresses additions into *delta clusters* once
   /// options().delta_cluster_size of them accumulate (smaller pending tails
   /// are short-circuit scanned). Removals tombstone the id; tombstoned
   /// subscriptions stop matching immediately and are physically dropped at
   /// the next Build. Ids must not collide with live subscriptions.
-  void AddIncremental(BooleanExpression subscription) override;
+  void AddIncremental(ExpressionHandle subscription) override;
 
   /// Tombstones `id` (base or incremental). NotFound if the id is unknown
   /// or already removed.
@@ -127,13 +128,13 @@ class PcmMatcher : public IncrementalMatcher {
   Status SaveIndex(std::ostream& out) const;
 
   /// Replaces Build: loads an index written by SaveIndex against the same
-  /// subscription set (ids are validated; `subscriptions` must outlive the
-  /// matcher, exactly as with Build).
-  Status LoadIndex(const std::vector<BooleanExpression>& subscriptions,
+  /// subscription set (ids are validated; the pointees must outlive the
+  /// matcher, exactly as with Build, while the span need not).
+  Status LoadIndex(std::span<const BooleanExpression* const> subscriptions,
                    const std::string& path);
 
   /// Stream form of LoadIndex, for images embedded in checkpoint files.
-  Status LoadIndex(const std::vector<BooleanExpression>& subscriptions,
+  Status LoadIndex(std::span<const BooleanExpression* const> subscriptions,
                    std::istream& in);
 
   void Match(const Event& event,
@@ -213,11 +214,11 @@ class PcmMatcher : public IncrementalMatcher {
   /// by InitRuntime, carried per-cluster through Compact like adaptive_.
   std::unique_ptr<ClusterProfile[]> profiles_;
   size_t num_profiles_ = 0;
-  /// Incremental state. delta_subs_ owns every incrementally added
-  /// expression — a deque for pointer stability, since delta clusters, the
-  /// pending list, AND post-Compact main clusters reference its elements.
-  /// Only Build/LoadIndex (which drop all clusters) may clear it.
-  std::deque<BooleanExpression> delta_subs_;
+  /// Incremental state. delta_subs_ holds a handle to every incrementally
+  /// added expression, which keeps the pointees that delta clusters, the
+  /// pending list AND post-Compact main clusters reference alive. Only
+  /// Build/LoadIndex (which drop all clusters) may clear it.
+  std::vector<ExpressionHandle> delta_subs_;
   std::vector<CompressedCluster> delta_clusters_;
   std::vector<const BooleanExpression*> delta_pending_;
   std::unordered_set<SubscriptionId> tombstones_;

@@ -41,6 +41,18 @@ EngineOptions NormalizeOptions(EngineOptions options) {
   return options;
 }
 
+/// The pointer list Matcher::Build and PcmMatcher::LoadIndex take, over
+/// expressions that `handles` keeps alive.
+std::vector<const BooleanExpression*> ExpressionPointers(
+    const std::vector<ExpressionHandle>& handles) {
+  std::vector<const BooleanExpression*> pointers;
+  pointers.reserve(handles.size());
+  for (const ExpressionHandle& handle : handles) {
+    pointers.push_back(handle.get());
+  }
+  return pointers;
+}
+
 }  // namespace
 
 Status ValidateEngineOptions(const EngineOptions& options) {
@@ -151,6 +163,10 @@ void StreamEngine::RegisterMetrics() {
   counter("apcm_matcher_matches_emitted_total",
           "Matches emitted by the matcher (per-round deltas).",
           stats_.matcher_matches_emitted);
+  counter("apcm_matcher_cluster_visits_total",
+          "(cluster, event) pairs evaluated by PCM-family matchers "
+          "(per-round deltas).",
+          stats_.matcher_cluster_visits);
   if (failpoint::kEnabled) {
     metrics_.AddCounterFn(
         "apcm_failpoint_hits_total",
@@ -486,9 +502,21 @@ SubscriptionId StreamEngine::RegisterSubscriptionLocked(
   const SubscriptionId id = expr.id();
   APCM_CHECK(id == next_sub_id_);
   ++next_sub_id_;
-  subscriptions_.push_back(std::move(expr));
+  // The one copy of this expression: every snapshot, delta handoff and
+  // checkpoint capture shares this handle.
+  subscriptions_.push_back(
+      std::make_shared<const BooleanExpression>(std::move(expr)));
   change_log_.push_back({++change_seq_, SubChange::kAdd, id});
   return id;
+}
+
+std::vector<ExpressionHandle> StreamEngine::LiveSubscriptionsLocked() const {
+  std::vector<ExpressionHandle> live;
+  live.reserve(subscriptions_.size() - tombstones_.size());
+  for (const ExpressionHandle& sub : subscriptions_) {
+    if (!tombstones_.contains(sub->id())) live.push_back(sub);
+  }
+  return live;
 }
 
 StatusOr<SubscriptionId> StreamEngine::AddDisjunctiveSubscription(
@@ -588,32 +616,36 @@ Status StreamEngine::RemoveSubscription(SubscriptionId id) {
   return Status::OK();
 }
 
-const BooleanExpression* StreamEngine::FindSubscriptionLocked(
+const ExpressionHandle* StreamEngine::FindSubscriptionLocked(
     SubscriptionId id) const {
   // subscriptions_ is id-sorted (ids are monotone and pruning preserves
   // order).
   auto it = std::lower_bound(
       subscriptions_.begin(), subscriptions_.end(), id,
-      [](const BooleanExpression& sub, SubscriptionId target) {
-        return sub.id() < target;
+      [](const ExpressionHandle& sub, SubscriptionId target) {
+        return sub->id() < target;
       });
-  if (it == subscriptions_.end() || it->id() != id) return nullptr;
+  if (it == subscriptions_.end() || (*it)->id() != id) return nullptr;
   return &*it;
 }
 
 Status StreamEngine::SaveSubscriptions(const std::string& path) const {
-  workload::Workload snapshot;
-  AttributeId max_attr = 0;
-  bool any_attr = false;
+  // Only the handles are captured under state_mu_; the trace is assembled
+  // and written off-lock.
+  std::vector<ExpressionHandle> live;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    for (const BooleanExpression& sub : subscriptions_) {
-      if (tombstones_.contains(sub.id())) continue;
-      snapshot.subscriptions.push_back(sub);
-      for (const Predicate& pred : sub.predicates()) {
-        max_attr = std::max(max_attr, pred.attribute());
-        any_attr = true;
-      }
+    live = LiveSubscriptionsLocked();
+  }
+  workload::Workload snapshot;
+  snapshot.subscriptions.reserve(live.size());
+  AttributeId max_attr = 0;
+  bool any_attr = false;
+  for (const ExpressionHandle& sub : live) {
+    snapshot.subscriptions.push_back(*sub);
+    for (const Predicate& pred : sub->predicates()) {
+      max_attr = std::max(max_attr, pred.attribute());
+      any_attr = true;
     }
   }
   if (any_attr) {
@@ -721,10 +753,9 @@ Status StreamEngine::RunCheckpoint() {
     }
     state.wal_seq = *rotated;
     state.next_sub_id = next_sub_id_;
-    for (const BooleanExpression& sub : subscriptions_) {
-      if (tombstones_.contains(sub.id())) continue;
-      state.subscriptions.emplace_back(sub.id(), sub.predicates());
-    }
+    // Handles only: the expressions are shared, immutable, and encoded
+    // off-lock below.
+    state.subscriptions = LiveSubscriptionsLocked();
     state.priorities.assign(priorities_.begin(), priorities_.end());
     std::sort(state.priorities.begin(), state.priorities.end());
     for (const auto& [external, internals] : dnf_groups_) {
@@ -733,20 +764,14 @@ Status StreamEngine::RunCheckpoint() {
     std::sort(state.dnf_groups.begin(), state.dnf_groups.end());
     ops_since_checkpoint_ = 0;
   }
-  // Optional index image, built off-lock over the captured copy (mutations
-  // keep flowing into the new segment meanwhile). PCM-family matchers only
-  // — the image must be loadable by a matching config.
+  // Optional index image, built off-lock over the captured handles
+  // (mutations keep flowing into the new segment meanwhile). PCM-family
+  // matchers only — the image must be loadable by a matching config.
   if (options_.checkpoint_index) {
-    std::vector<BooleanExpression> exprs;  // outlives the matcher below
-    exprs.reserve(state.subscriptions.size());
-    for (const auto& [id, predicates] : state.subscriptions) {
-      // Captured from built expressions, so already attribute-sorted.
-      exprs.push_back(BooleanExpression::FromSorted(id, predicates));
-    }
     std::unique_ptr<Matcher> matcher =
         CreateMatcher(options_.kind, options_.matcher);
     if (auto* pcm = dynamic_cast<core::PcmMatcher*>(matcher.get())) {
-      pcm->Build(exprs);
+      pcm->Build(ExpressionPointers(state.subscriptions));
       std::ostringstream image(std::ios::binary);
       const Status saved = pcm->SaveIndex(image);
       if (saved.ok()) {
@@ -790,14 +815,14 @@ void StreamEngine::RecoverFromStore() {
   store_ = std::move(*opened);
 
   // 1. Base state from the newest intact checkpoint.
-  const store::CheckpointState& ckpt = recovery.checkpoint;
+  store::CheckpointState& ckpt = recovery.checkpoint;
   if (recovery.had_checkpoint) {
     next_sub_id_ = ckpt.next_sub_id;
-    for (const auto& [id, predicates] : ckpt.subscriptions) {
-      // Checkpoint entries ascend by id and were captured from built
-      // expressions (attribute-sorted), so the unchecked path is exact.
-      subscriptions_.push_back(BooleanExpression::FromSorted(id, predicates));
-      if (id >= next_sub_id_) next_sub_id_ = id + 1;
+    // Checkpoint entries ascend by id; their decoded handles become the
+    // master list as they are.
+    for (ExpressionHandle& sub : ckpt.subscriptions) {
+      if (sub->id() >= next_sub_id_) next_sub_id_ = sub->id() + 1;
+      subscriptions_.push_back(std::move(sub));
     }
     for (const auto& [id, priority] : ckpt.priorities) {
       priorities_[id] = priority;
@@ -813,16 +838,16 @@ void StreamEngine::RecoverFromStore() {
     // up through the regular delta path (their change seqs are > 0).
     if (!ckpt.index_kind.empty() &&
         ckpt.index_kind == MatcherKindName(options_.kind)) {
-      auto built =
-          std::make_shared<std::vector<BooleanExpression>>(subscriptions_);
+      std::vector<ExpressionHandle> built = subscriptions_;  // shared
       std::unique_ptr<Matcher> matcher =
           CreateMatcher(options_.kind, options_.matcher);
       if (auto* pcm = dynamic_cast<core::PcmMatcher*>(matcher.get())) {
         std::istringstream image(ckpt.index_image, std::ios::binary);
-        const Status loaded = pcm->LoadIndex(*built, image);
+        const Status loaded = pcm->LoadIndex(ExpressionPointers(built), image);
         if (loaded.ok()) {
           auto snap = std::make_shared<EngineSnapshot>();
-          snap->built_subs = built;  // the expressions the index points into
+          // The expressions the index points at.
+          snap->built_subs = std::move(built);
           snap->matcher = std::move(matcher);
           snap->covered_seq = 0;
           snap->applied_seq = 0;
@@ -1061,38 +1086,33 @@ void StreamEngine::Flush() {
 void StreamEngine::ScheduleRebuildLocked(bool compaction) {
   if (rebuild_inflight_) return;
   rebuild_inflight_ = true;
-  // Copy the live subscription set now, under state_mu_: the build runs on
-  // the maintenance worker against this immutable copy while writers keep
+  // Capture the live subscription set now, under state_mu_, as handles
+  // shared with the master list (no expression is copied): the build runs
+  // on the maintenance worker over this immutable set while writers keep
   // mutating the master list.
-  auto built = std::make_shared<std::vector<BooleanExpression>>();
-  built->reserve(subscriptions_.size() - tombstones_.size());
-  for (const BooleanExpression& sub : subscriptions_) {
-    if (!tombstones_.contains(sub.id())) built->push_back(sub);
-  }
-  const uint64_t version = change_seq_;
-  trace_.Record(TraceRing::Kind::kRebuildSchedule, built->size(),
+  auto next = std::make_shared<EngineSnapshot>();
+  next->built_subs = LiveSubscriptionsLocked();
+  next->covered_seq = change_seq_;
+  next->applied_seq = change_seq_;
+  const size_t live_subs = next->built_subs.size();
+  trace_.Record(TraceRing::Kind::kRebuildSchedule, live_subs,
                 compaction ? 1 : 0);
   if (LogEnabled(LogLevel::kDebug)) {
-    LogDebug("snapshot build scheduled", {{"live_subs", built->size()},
+    LogDebug("snapshot build scheduled", {{"live_subs", live_subs},
                                           {"compaction", compaction},
-                                          {"covers_seq", version}});
+                                          {"covers_seq", next->covered_seq}});
   }
   rebuild_done_ =
       rebuild_pool_
-          .SubmitWithFuture([this, built, version, compaction] {
+          .SubmitWithFuture([this, next = std::move(next), compaction] {
             // Chaos seam: stall the full build while writers keep mutating
             // the master list it was captured from.
             APCM_FAILPOINT("engine.rebuild.start");
             WallTimer timer;
-            auto next = std::make_shared<EngineSnapshot>();
             next->matcher = CreateMatcher(options_.kind, options_.matcher);
             APCM_CHECK(next->matcher != nullptr);
-            next->matcher->Build(*built);
-            next->built_subs = built;
-            next->covered_seq = version;
-            next->applied_seq = version;
-            PublishSnapshot(std::move(next), compaction,
-                            timer.ElapsedNanos());
+            next->matcher->Build(ExpressionPointers(next->built_subs));
+            PublishSnapshot(next, compaction, timer.ElapsedNanos());
           })
           .share();
 }
@@ -1111,8 +1131,8 @@ void StreamEngine::PublishSnapshot(std::shared_ptr<EngineSnapshot> next,
   while (!change_log_.empty() && change_log_.front().seq <= version) {
     change_log_.pop_front();
   }
-  std::erase_if(subscriptions_, [&](const BooleanExpression& sub) {
-    auto it = tombstones_.find(sub.id());
+  std::erase_if(subscriptions_, [&](const ExpressionHandle& sub) {
+    auto it = tombstones_.find(sub->id());
     return it != tombstones_.end() && it->second <= version;
   });
   std::erase_if(tombstones_,
@@ -1137,7 +1157,7 @@ std::shared_ptr<EngineSnapshot> StreamEngine::SyncSnapshotLocked() {
   for (;;) {
     std::shared_ptr<EngineSnapshot> snap = snapshot_.Load();
     std::vector<SubChange> changes;
-    std::vector<BooleanExpression> add_exprs;
+    std::vector<ExpressionHandle> add_exprs;
     std::shared_future<void> build_done;
     {
       std::lock_guard<std::mutex> lock(state_mu_);
@@ -1157,12 +1177,12 @@ std::shared_ptr<EngineSnapshot> StreamEngine::SyncSnapshotLocked() {
         build_done = rebuild_done_;
       } else {
         // Delta handoff: collect the changes this snapshot has not seen,
-        // in change order, with copies of the added expressions.
+        // in change order, with handles to the added expressions.
         for (const SubChange& change : change_log_) {
           if (change.seq <= base) continue;
           changes.push_back(change);
           if (change.kind == SubChange::kAdd) {
-            const BooleanExpression* sub = FindSubscriptionLocked(change.id);
+            const ExpressionHandle* sub = FindSubscriptionLocked(change.id);
             APCM_CHECK(sub != nullptr);
             add_exprs.push_back(*sub);
           }
@@ -1243,7 +1263,10 @@ void StreamEngine::ProcessLocked() {
     const size_t end =
         std::min(order.size(), pos + size_t{options_.batch_size});
     batch.clear();
-    for (size_t i = pos; i < end; ++i) batch.push_back(round_events_[order[i]]);
+    // Moved, not copied: after ReorderStream, round_events_ is only counted.
+    for (size_t i = pos; i < end; ++i) {
+      batch.push_back(std::move(round_events_[order[i]]));
+    }
     WallTimer timer;
     snap->matcher->MatchBatch(batch, &batch_results);
     stats_.batch_latency_ns.Record(timer.ElapsedNanos());
@@ -1321,6 +1344,9 @@ void StreamEngine::ProcessLocked() {
       std::memory_order_relaxed);
   stats_.matcher_matches_emitted.fetch_add(
       matcher_after.matches_emitted - matcher_before.matches_emitted,
+      std::memory_order_relaxed);
+  stats_.matcher_cluster_visits.fetch_add(
+      matcher_after.cluster_visits - matcher_before.cluster_visits,
       std::memory_order_relaxed);
 
   trace_.Record(TraceRing::Kind::kRoundEnd, round_events_.size(),

@@ -57,6 +57,9 @@ struct EngineStats {
   std::atomic<uint64_t> matcher_bitmap_words{0};
   std::atomic<uint64_t> matcher_candidates_checked{0};
   std::atomic<uint64_t> matcher_matches_emitted{0};
+  /// (cluster, event) pairs evaluated (MatcherStats::cluster_visits; PCM
+  /// family only, 0 for the baselines).
+  std::atomic<uint64_t> matcher_cluster_visits{0};
   /// Wall time per processed batch, nanoseconds.
   ShardedHistogram batch_latency_ns;
   /// Publish-queue depth sampled at the start of every processing round.
@@ -345,6 +348,9 @@ class StreamEngine {
   /// id allocator, change log. The shared tail of the live mutation path
   /// (after its WAL append) and WAL replay.
   SubscriptionId RegisterSubscriptionLocked(BooleanExpression expr);
+  /// Handles of every live (non-tombstoned) master-list entry, ascending id.
+  /// Requires state_mu_.
+  std::vector<ExpressionHandle> LiveSubscriptionsLocked() const;
   /// Checks that `id` names a removable subscription without mutating
   /// anything — the live path must validate BEFORE logging the removal.
   Status ValidateRemoveLocked(SubscriptionId id) const;
@@ -368,7 +374,7 @@ class StreamEngine {
   /// and clears it when done.
   Status RunCheckpoint();
   /// Master-list lookup by id (the list is id-sorted; ids are monotone).
-  const BooleanExpression* FindSubscriptionLocked(SubscriptionId id) const;
+  const ExpressionHandle* FindSubscriptionLocked(SubscriptionId id) const;
   /// Schedules a background snapshot build over the live subscription set,
   /// unless one is already in flight. `compaction` selects which stats
   /// counter the publish increments. Requires state_mu_.
@@ -399,7 +405,10 @@ class StreamEngine {
   /// Write-side master state, guarded by state_mu_. Mutations are short and
   /// never wait on matching or building.
   mutable std::mutex state_mu_;
-  std::vector<BooleanExpression> subscriptions_;  // id-sorted; incl. tombstoned
+  /// Id-sorted, tombstoned entries included. The handles are shared with
+  /// the snapshots, so dropping one here frees the expression only once no
+  /// snapshot can still match it.
+  std::vector<ExpressionHandle> subscriptions_;
   /// Removed id -> change seq of the removal. Entries (and their master-
   /// list slots) are erased once a snapshot covering the removal publishes.
   std::unordered_map<SubscriptionId, uint64_t> tombstones_;

@@ -14,11 +14,13 @@ namespace apcm::engine {
 /// One generation of the StreamEngine's matching state, swapped RCU-style.
 ///
 /// A snapshot is built off the hot path (on the engine's maintenance pool)
-/// from an immutable copy of the live subscription set, then published with
-/// a shared_ptr swap. Processing rounds copy the shared_ptr, so a rebuild
-/// that publishes mid-round never invalidates the matcher an in-flight
-/// round is using — the old generation stays alive until its last reference
-/// drops.
+/// over the live subscription set captured as handles: the master list and
+/// every snapshot share one immutable copy of each expression (see
+/// ExpressionHandle). It is then published with a shared_ptr swap.
+/// Processing rounds copy the shared_ptr, so a rebuild that publishes
+/// mid-round never invalidates the matcher an in-flight round is using —
+/// the old generation, and every expression its matcher points at, stays
+/// alive until its last reference drops.
 ///
 /// The subscription *set* of a snapshot is immutable. The matcher object is
 /// not: MatchBatch updates matcher-internal counters and adaptive state,
@@ -28,10 +30,11 @@ namespace apcm::engine {
 /// processing lock; the background builder only ever touches a snapshot
 /// that has not been published yet.
 struct EngineSnapshot {
-  /// Stable storage for the expressions `matcher` references (matchers keep
-  /// pointers into this vector; see Matcher::Build).
-  std::shared_ptr<const std::vector<BooleanExpression>> built_subs;
-  /// The matcher built over *built_subs.
+  /// Handles to the expressions `matcher` was built over (matchers keep
+  /// pointers to them; see Matcher::Build). Expressions added later through
+  /// the PCM delta path are held by the matcher itself.
+  std::vector<ExpressionHandle> built_subs;
+  /// The matcher built over built_subs.
   std::unique_ptr<Matcher> matcher;
   /// Engine change-sequence number the build covered: every subscription
   /// add/remove with seq <= covered_seq is reflected in the built index.

@@ -55,7 +55,8 @@ BETreeMatcher::BETreeMatcher(BETreeOptions options) : options_(options) {}
 
 BETreeMatcher::~BETreeMatcher() = default;
 
-void BETreeMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
+void BETreeMatcher::Build(
+    std::span<const BooleanExpression* const> subscriptions) {
   // The clustering hierarchy needs a finite value domain; derive it from the
   // subscription set (the hull of all predicate operands). Events may carry
   // values outside this hull — descent clamps them, which is correct because
@@ -63,8 +64,8 @@ void BETreeMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
   Value lo = 0;
   Value hi = 0;
   bool any = false;
-  for (const auto& sub : subscriptions) {
-    for (const auto& pred : sub.predicates()) {
+  for (const BooleanExpression* sub : subscriptions) {
+    for (const auto& pred : sub->predicates()) {
       Value plo = pred.v1();
       Value phi = pred.op() == Op::kBetween ? pred.v2() : pred.v1();
       if (pred.op() == Op::kIn) {
@@ -85,8 +86,8 @@ void BETreeMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
 
   root_ = std::make_unique<CNode>();
   std::vector<AttributeId> used_attrs;
-  for (const auto& sub : subscriptions) {
-    Insert(root_.get(), &sub, &used_attrs);
+  for (const BooleanExpression* sub : subscriptions) {
+    Insert(root_.get(), sub, &used_attrs);
     APCM_DCHECK(used_attrs.empty());
   }
 }

@@ -46,7 +46,8 @@ class BETreeMatcher : public Matcher {
 
   std::string Name() const override { return "be-tree"; }
 
-  void Build(const std::vector<BooleanExpression>& subscriptions) override;
+  using Matcher::Build;
+  void Build(std::span<const BooleanExpression* const> subscriptions) override;
 
   void Match(const Event& event,
              std::vector<SubscriptionId>* matches) override;

@@ -7,14 +7,14 @@
 namespace apcm::index {
 
 void CountingMatcher::Build(
-    const std::vector<BooleanExpression>& subscriptions) {
+    std::span<const BooleanExpression* const> subscriptions) {
   // Subscription ids index the counter arrays directly, so they must be
   // dense; the workload generator and engine guarantee this.
   SubscriptionId max_id = 0;
   AttributeId max_attr = 0;
-  for (const auto& sub : subscriptions) {
-    max_id = std::max(max_id, sub.id());
-    for (const auto& pred : sub.predicates()) {
+  for (const BooleanExpression* sub : subscriptions) {
+    max_id = std::max(max_id, sub->id());
+    for (const auto& pred : sub->predicates()) {
       max_attr = std::max(max_attr, pred.attribute());
     }
   }
@@ -28,18 +28,18 @@ void CountingMatcher::Build(
   match_all_.clear();
 
   std::vector<ValueInterval> intervals;
-  for (const auto& sub : subscriptions) {
-    required_[sub.id()] = static_cast<uint32_t>(sub.size());
-    if (sub.predicates().empty()) {
-      match_all_.push_back(sub.id());
+  for (const BooleanExpression* sub : subscriptions) {
+    required_[sub->id()] = static_cast<uint32_t>(sub->size());
+    if (sub->predicates().empty()) {
+      match_all_.push_back(sub->id());
       continue;
     }
-    for (const auto& pred : sub.predicates()) {
+    for (const auto& pred : sub->predicates()) {
       // One payload per (subscription, predicate) instance. A predicate's
       // decomposition intervals are disjoint, so a stab hits at most one —
       // the counter is incremented at most once per predicate.
       const auto payload = static_cast<uint32_t>(payload_owner_.size());
-      payload_owner_.push_back(sub.id());
+      payload_owner_.push_back(sub->id());
       intervals.clear();
       pred.AppendIntervals(domain_, &intervals);
       for (const ValueInterval& interval : intervals) {

@@ -24,7 +24,8 @@ class CountingMatcher : public Matcher {
 
   std::string Name() const override { return "counting"; }
 
-  void Build(const std::vector<BooleanExpression>& subscriptions) override;
+  using Matcher::Build;
+  void Build(std::span<const BooleanExpression* const> subscriptions) override;
 
   void Match(const Event& event,
              std::vector<SubscriptionId>* matches) override;

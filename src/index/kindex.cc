@@ -17,7 +17,8 @@ uint64_t KIndexMatcher::CellFor(Value v) const {
   return offset >> cell_shift_;
 }
 
-void KIndexMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
+void KIndexMatcher::Build(
+    std::span<const BooleanExpression* const> subscriptions) {
   APCM_CHECK(!domain_.Empty());
   // Width() wraps to 0 when the domain spans the full 64-bit space; that
   // means 2^64 values, i.e. 64 bits of cell address.
@@ -35,9 +36,9 @@ void KIndexMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
 
   SubscriptionId max_id = 0;
   AttributeId max_attr = 0;
-  for (const auto& sub : subscriptions) {
-    max_id = std::max(max_id, sub.id());
-    for (const auto& pred : sub.predicates()) {
+  for (const BooleanExpression* sub : subscriptions) {
+    max_id = std::max(max_id, sub->id());
+    for (const auto& pred : sub->predicates()) {
       max_attr = std::max(max_attr, pred.attribute());
     }
   }
@@ -52,13 +53,13 @@ void KIndexMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
   const uint64_t num_leaves = 1ULL << levels_;
   std::vector<ValueInterval> intervals;
   std::vector<std::pair<uint64_t, uint64_t>> cell_ranges;
-  for (const auto& sub : subscriptions) {
-    required_[sub.id()] = static_cast<uint32_t>(sub.size());
-    if (sub.predicates().empty()) {
-      match_all_.push_back(sub.id());
+  for (const BooleanExpression* sub : subscriptions) {
+    required_[sub->id()] = static_cast<uint32_t>(sub->size());
+    if (sub->predicates().empty()) {
+      match_all_.push_back(sub->id());
       continue;
     }
-    for (const auto& pred : sub.predicates()) {
+    for (const auto& pred : sub->predicates()) {
       intervals.clear();
       pred.AppendIntervals(domain_, &intervals);
       // Convert to cell granularity and coalesce: cell rounding can make
@@ -82,7 +83,7 @@ void KIndexMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
       if (!cell_ranges.empty()) cell_ranges.resize(merged + 1);
 
       auto& attr_map = per_attribute_[pred.attribute()];
-      const Posting posting{&pred, sub.id()};
+      const Posting posting{&pred, sub->id()};
       for (const auto& [lc, rc] : cell_ranges) {
         // Canonical segment-tree decomposition of cells [lc, rc].
         uint64_t lo = lc + num_leaves;

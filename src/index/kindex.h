@@ -30,7 +30,8 @@ class KIndexMatcher : public Matcher {
 
   std::string Name() const override { return "k-index"; }
 
-  void Build(const std::vector<BooleanExpression>& subscriptions) override;
+  using Matcher::Build;
+  void Build(std::span<const BooleanExpression* const> subscriptions) override;
 
   void Match(const Event& event,
              std::vector<SubscriptionId>* matches) override;

@@ -2,6 +2,7 @@
 #define APCM_INDEX_MATCHER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,10 +64,26 @@ class Matcher {
   /// Algorithm name for reports, e.g. "scan", "be-tree", "a-pcm".
   virtual std::string Name() const = 0;
 
-  /// Builds the index over `subscriptions`. Called exactly once, before any
-  /// Match call. Implementations may keep references into the vector; the
-  /// caller keeps it alive for the matcher's lifetime.
-  virtual void Build(const std::vector<BooleanExpression>& subscriptions) = 0;
+  /// Builds the index over the expressions `subscriptions` points at.
+  /// Called exactly once, before any Match call. Implementations may keep
+  /// the pointers (never the span, which need not outlive the call): the
+  /// caller keeps every pointee alive and unchanged for the matcher's
+  /// lifetime. The engine's snapshots do so by holding a refcounted handle
+  /// to each expression (see EngineSnapshot).
+  virtual void Build(
+      std::span<const BooleanExpression* const> subscriptions) = 0;
+
+  /// Convenience form over a contiguous expression vector: forms the
+  /// pointer list and forwards. The vector's elements must outlive the
+  /// matcher. Subclasses re-export it with `using Matcher::Build;`.
+  void Build(const std::vector<BooleanExpression>& subscriptions) {
+    std::vector<const BooleanExpression*> pointers;
+    pointers.reserve(subscriptions.size());
+    for (const BooleanExpression& sub : subscriptions) {
+      pointers.push_back(&sub);
+    }
+    Build(std::span<const BooleanExpression* const>(pointers));
+  }
 
   /// Appends the ids of all subscriptions matching `event` to `*matches`
   /// in ascending order (matches is cleared first).
@@ -96,8 +113,10 @@ class Matcher {
     (void)out;
   }
 
-  /// Approximate heap footprint of the index structures in bytes
-  /// (excluding the subscription vector owned by the caller).
+  /// Approximate heap footprint of the index structures in bytes: what the
+  /// matcher allocated itself, its own pointer lists included. The
+  /// expressions are excluded, since the caller owns them (or shares them
+  /// through handles, as the engine and the PCM delta path do).
   virtual uint64_t MemoryBytes() const = 0;
 };
 
@@ -109,9 +128,12 @@ class Matcher {
 /// family (delta clusters + tombstones).
 class IncrementalMatcher : public Matcher {
  public:
-  /// Registers `subscription` without a rebuild. The id must not collide
-  /// with a live subscription; it matches from the next Match call.
-  virtual void AddIncremental(BooleanExpression subscription) = 0;
+  /// Registers `subscription` without a rebuild. The matcher keeps the
+  /// handle, so the expression stays alive while the matcher can reach it;
+  /// the caller's other handles to it may drop at any time. The id must
+  /// not collide with a live subscription; it matches from the next Match
+  /// call.
+  virtual void AddIncremental(ExpressionHandle subscription) = 0;
 
   /// Unregisters `id` without a rebuild; it stops matching immediately.
   /// NotFound if the id is unknown or already removed.

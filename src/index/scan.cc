@@ -6,13 +6,12 @@ namespace apcm::index {
 
 void ScanMatcher::Match(const Event& event,
                         std::vector<SubscriptionId>* matches) {
-  APCM_CHECK(subscriptions_ != nullptr);
   matches->clear();
   uint64_t evals = 0;
-  for (const BooleanExpression& sub : *subscriptions_) {
+  for (const BooleanExpression* sub : subscriptions_) {
     ++stats_.candidates_checked;
-    if (sub.MatchesCounting(event, &evals)) {
-      matches->push_back(sub.id());
+    if (sub->MatchesCounting(event, &evals)) {
+      matches->push_back(sub->id());
     }
   }
   stats_.predicate_evals += evals;

@@ -14,18 +14,22 @@ class ScanMatcher : public Matcher {
  public:
   std::string Name() const override { return "scan"; }
 
-  void Build(const std::vector<BooleanExpression>& subscriptions) override {
-    subscriptions_ = &subscriptions;
+  using Matcher::Build;
+  void Build(std::span<const BooleanExpression* const> subscriptions) override {
+    subscriptions_.assign(subscriptions.begin(), subscriptions.end());
   }
 
   void Match(const Event& event,
              std::vector<SubscriptionId>* matches) override;
 
   const MatcherStats& stats() const override { return stats_; }
-  uint64_t MemoryBytes() const override { return 0; }  // no index structures
+  /// Only the pointer list: SCAN has no index structures.
+  uint64_t MemoryBytes() const override {
+    return subscriptions_.capacity() * sizeof(const BooleanExpression*);
+  }
 
  private:
-  const std::vector<BooleanExpression>* subscriptions_ = nullptr;
+  std::vector<const BooleanExpression*> subscriptions_;
   MatcherStats stats_;
 };
 

@@ -24,9 +24,9 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
   writer.U64(state.wal_seq);
   writer.U32(state.next_sub_id);
   writer.U32(static_cast<uint32_t>(state.subscriptions.size()));
-  for (const auto& [id, predicates] : state.subscriptions) {
-    writer.U32(id);
-    EncodePredicates(predicates, &writer);
+  for (const ExpressionHandle& sub : state.subscriptions) {
+    writer.U32(sub->id());
+    EncodePredicates(sub->predicates(), &writer);
   }
   writer.U32(static_cast<uint32_t>(state.priorities.size()));
   for (const auto& [id, priority] : state.priorities) {
@@ -72,11 +72,18 @@ StatusOr<CheckpointState> DecodeCheckpoint(std::string_view data) {
     return Corrupt("truncated header");
   }
   if (nsubs > reader.remaining() / 8) return Corrupt("implausible sub count");
-  state.subscriptions.resize(nsubs);
-  for (auto& [id, predicates] : state.subscriptions) {
+  state.subscriptions.reserve(nsubs);
+  for (uint32_t i = 0; i < nsubs; ++i) {
+    SubscriptionId id = 0;
+    std::vector<Predicate> predicates;
     if (!reader.U32(&id) || !DecodePredicates(&reader, &predicates)) {
       return Corrupt("invalid subscription entry");
     }
+    StatusOr<BooleanExpression> expr =
+        BooleanExpression::Create(id, std::move(predicates));
+    if (!expr.ok()) return Corrupt("invalid subscription entry");
+    state.subscriptions.push_back(
+        std::make_shared<const BooleanExpression>(*std::move(expr)));
   }
   uint32_t nprios = 0;
   if (!reader.U32(&nprios) || nprios > reader.remaining() / 12) {

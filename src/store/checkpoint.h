@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/be/predicate.h"
+#include "src/be/expression.h"
 
 namespace apcm::store {
 
@@ -47,8 +47,10 @@ struct CheckpointState {
   uint64_t wal_seq = 0;
   /// Engine id allocator watermark at capture time.
   SubscriptionId next_sub_id = 1;
-  /// Live (non-tombstoned) subscriptions, ascending id.
-  std::vector<std::pair<SubscriptionId, std::vector<Predicate>>> subscriptions;
+  /// Live (non-tombstoned) subscriptions, ascending id. The engine captures
+  /// its own handles here (no expression is copied); decoding creates one
+  /// handle per entry, which recovery moves into the engine's master list.
+  std::vector<ExpressionHandle> subscriptions;
   /// Non-default delivery priorities, ascending id.
   std::vector<std::pair<SubscriptionId, double>> priorities;
   /// DNF alias groups: external id -> internal disjunct ids, ascending.

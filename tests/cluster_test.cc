@@ -10,13 +10,6 @@
 namespace apcm::core {
 namespace {
 
-std::vector<const BooleanExpression*> Pointers(
-    const std::vector<BooleanExpression>& subs) {
-  std::vector<const BooleanExpression*> ptrs;
-  for (const auto& sub : subs) ptrs.push_back(&sub);
-  return ptrs;
-}
-
 std::vector<SubscriptionId> CompressedMatches(const CompressedCluster& cluster,
                                               const Event& event) {
   std::vector<uint64_t> result(cluster.words(), 0);

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -275,7 +276,8 @@ TEST_P(DifferentialSoakTest, ThreadedIncrementalAgreesWithScanOracle) {
       const auto& sub =
           pool.subscriptions[rng.Uniform(pool.subscriptions.size())];
       auto expr = BooleanExpression::Create(next_id, sub.predicates()).value();
-      matcher->AddIncremental(expr);
+      matcher->AddIncremental(
+          std::make_shared<const BooleanExpression>(expr));
       live.emplace(next_id, std::move(expr));
       live_ids.push_back(next_id);
       ++next_id;
@@ -598,11 +600,13 @@ store::CheckpointState SampleCheckpoint() {
   store::CheckpointState state;
   state.wal_seq = 42;
   state.next_sub_id = 7;
-  state.subscriptions.push_back(
-      {0, {Predicate(0, Op::kGe, 5), Predicate(2, -3, 3)}});
-  state.subscriptions.push_back({2, {Predicate(1, Op::kEq, 9)}});
-  state.subscriptions.push_back(
-      {5, {Predicate(4, std::vector<Value>{2, 4, 8})}});
+  auto add = [&state](SubscriptionId id, std::vector<Predicate> predicates) {
+    state.subscriptions.push_back(std::make_shared<const BooleanExpression>(
+        BooleanExpression::FromSorted(id, std::move(predicates))));
+  };
+  add(0, {Predicate(0, Op::kGe, 5), Predicate(2, -3, 3)});
+  add(2, {Predicate(1, Op::kEq, 9)});
+  add(5, {Predicate(4, std::vector<Value>{2, 4, 8})});
   state.priorities.push_back({2, 1.5});
   state.dnf_groups.push_back({3, {3, 4}});
   state.index_kind = "a-pcm";

@@ -29,10 +29,10 @@ TEST(PcmIncrementalTest, AddsMatchImmediately) {
   core::PcmOptions options;
   options.delta_cluster_size = 4;  // force both pending and cluster paths
   core::PcmMatcher matcher(options);
-  matcher.Build({});
+  matcher.Build(std::vector<BooleanExpression>{});
   for (SubscriptionId id = 0; id < 10; ++id) {
-    matcher.AddIncremental(BooleanExpression::Create(
-        id, {Predicate(0, Op::kEq, static_cast<Value>(id))}).value());
+    matcher.AddIncremental(Handle(BooleanExpression::Create(
+        id, {Predicate(0, Op::kEq, static_cast<Value>(id))}).value()));
   }
   std::vector<SubscriptionId> matches;
   matcher.Match(Event::Create({{0, 7}}).value(), &matches);
@@ -52,8 +52,8 @@ TEST(PcmIncrementalTest, RemoveStopsMatchingFromBaseAndDelta) {
   ASSERT_TRUE(matcher.RemoveIncremental(base_id).ok());
   const SubscriptionId delta_id =
       static_cast<SubscriptionId>(workload.subscriptions.size()) + 100;
-  matcher.AddIncremental(BooleanExpression::Create(
-      delta_id, {Predicate(0, Op::kGe, workload.spec.domain_min)}).value());
+  matcher.AddIncremental(Handle(BooleanExpression::Create(
+      delta_id, {Predicate(0, Op::kGe, workload.spec.domain_min)}).value()));
   ASSERT_TRUE(matcher.RemoveIncremental(delta_id).ok());
 
   std::vector<SubscriptionId> matches;
@@ -68,10 +68,10 @@ TEST(PcmIncrementalTest, RemoveStopsMatchingFromBaseAndDelta) {
 
 TEST(PcmIncrementalTest, RemoveErrors) {
   core::PcmMatcher matcher{core::PcmOptions{}};
-  matcher.Build({});
+  matcher.Build(std::vector<BooleanExpression>{});
   EXPECT_EQ(matcher.RemoveIncremental(0).code(), StatusCode::kNotFound);
-  matcher.AddIncremental(
-      BooleanExpression::Create(0, {Predicate(1, Op::kEq, 1)}).value());
+  matcher.AddIncremental(Handle(
+      BooleanExpression::Create(0, {Predicate(1, Op::kEq, 1)}).value()));
   EXPECT_TRUE(matcher.RemoveIncremental(0).ok());
   EXPECT_EQ(matcher.RemoveIncremental(0).code(), StatusCode::kNotFound);
 }
@@ -82,8 +82,8 @@ TEST(PcmIncrementalTest, DeltaFractionTracksChanges) {
   matcher.Build(workload.subscriptions);
   EXPECT_DOUBLE_EQ(matcher.DeltaFraction(), 0.0);
   const auto n = static_cast<SubscriptionId>(workload.subscriptions.size());
-  matcher.AddIncremental(BooleanExpression::Create(
-      n + 1, {Predicate(0, Op::kEq, 1)}).value());
+  matcher.AddIncremental(Handle(BooleanExpression::Create(
+      n + 1, {Predicate(0, Op::kEq, 1)}).value()));
   ASSERT_TRUE(matcher.RemoveIncremental(0).ok());
   EXPECT_NEAR(matcher.DeltaFraction(), 2.0 / (n + 1), 1e-9);
   // Build resets delta state.
@@ -101,8 +101,8 @@ TEST(PcmCompactTest, FoldsDeltaIntoMainClusters) {
 
   const auto n = static_cast<SubscriptionId>(workload.subscriptions.size());
   for (SubscriptionId i = 0; i < 30; ++i) {
-    matcher.AddIncremental(BooleanExpression::Create(
-        n + i, {Predicate(0, Op::kEq, static_cast<Value>(i))}).value());
+    matcher.AddIncremental(Handle(BooleanExpression::Create(
+        n + i, {Predicate(0, Op::kEq, static_cast<Value>(i))}).value()));
   }
   ASSERT_TRUE(matcher.RemoveIncremental(0).ok());
   EXPECT_GT(matcher.DeltaFraction(), 0.0);
@@ -130,8 +130,8 @@ TEST(PcmCompactTest, FoldsDeltaIntoMainClusters) {
   }
 
   // Compacted state is saveable and the removed id can be re-registered.
-  matcher.AddIncremental(
-      BooleanExpression::Create(0, {Predicate(1, Op::kEq, 1)}).value());
+  matcher.AddIncremental(Handle(
+      BooleanExpression::Create(0, {Predicate(1, Op::kEq, 1)}).value()));
 }
 
 TEST(PcmCompactTest, NoOpWhenClean) {
@@ -164,7 +164,7 @@ TEST(PcmCompactTest, ChurnWithInterleavedCompactions) {
     for (int i = 0; i < 15 && next_add < workload.subscriptions.size();
          ++i) {
       const auto& sub = workload.subscriptions[next_add++];
-      matcher.AddIncremental(sub);
+      matcher.AddIncremental(Handle(sub));
       live.emplace(sub.id(), sub);
     }
     for (int i = 0; i < 5 && !live.empty(); ++i) {
@@ -210,7 +210,7 @@ TEST_P(PcmChurnTest, MatchesScanAfterEveryChurnRound) {
     // Churn: a few adds and removes.
     for (int i = 0; i < 10 && next_add < workload.subscriptions.size(); ++i) {
       const auto& sub = workload.subscriptions[next_add++];
-      matcher.AddIncremental(sub);
+      matcher.AddIncremental(Handle(sub));
       live.emplace(sub.id(), sub);
     }
     for (int i = 0; i < 5 && !live.empty(); ++i) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/be/parser.h"
@@ -11,6 +13,21 @@
 #include "src/workload/generator.h"
 
 namespace apcm {
+
+/// Pointers to `subscriptions`, the form Matcher::Build and
+/// PcmMatcher::LoadIndex take; the vector must outlive the matcher.
+inline std::vector<const BooleanExpression*> Pointers(
+    const std::vector<BooleanExpression>& subscriptions) {
+  std::vector<const BooleanExpression*> pointers;
+  for (const BooleanExpression& sub : subscriptions) pointers.push_back(&sub);
+  return pointers;
+}
+
+/// A handle to its own copy of `expr`, the form
+/// IncrementalMatcher::AddIncremental takes.
+inline ExpressionHandle Handle(BooleanExpression expr) {
+  return std::make_shared<const BooleanExpression>(std::move(expr));
+}
 
 /// Matches every workload event through `matcher` (single-event API).
 inline std::vector<std::vector<SubscriptionId>> RunMatcher(

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/base/rng.h"
 #include "tests/matcher_test_util.h"
@@ -127,7 +128,7 @@ TEST(PcmTest, CompressionRatioAtLeastOne) {
 
 TEST(PcmTest, EmptySubscriptionSet) {
   PcmMatcher matcher(BaseOptions());
-  matcher.Build({});
+  matcher.Build(std::vector<BooleanExpression>{});
   std::vector<SubscriptionId> matches{99};
   matcher.Match(Event::Create({{0, 1}}).value(), &matches);
   EXPECT_TRUE(matches.empty());
@@ -403,7 +404,7 @@ TEST(PcmDispatchTest, AgreesWithScanAfterCompactWithChurn) {
       for (int i = 0; i < 40 && next_add < workload.subscriptions.size();
            ++i) {
         const auto& sub = workload.subscriptions[next_add++];
-        matcher.AddIncremental(sub);
+        matcher.AddIncremental(Handle(sub));
         live.emplace(sub.id(), sub);
       }
       for (int i = 0; i < 20; ++i) {
@@ -434,8 +435,78 @@ TEST(PcmDispatchTest, AgreesWithScanAfterLoadIndex) {
   const auto other = workload::Generate(GnarlySpec(103)).value();
   PcmMatcher loaded(options);
   loaded.Build(other.subscriptions);
-  ASSERT_TRUE(loaded.LoadIndex(workload.subscriptions, image).ok());
+  ASSERT_TRUE(loaded.LoadIndex(Pointers(workload.subscriptions), image).ok());
   ExpectMatchesLive(loaded, live, workload.events);
+}
+
+/// Build over a pointer span copies no expression: every cluster member is
+/// one of the pointers passed in, though the span is gone by then. Each
+/// expression sits behind its own handle, so there is no expression vector
+/// the matcher could point into instead.
+TEST(PcmTest, BuildOverPointerSpanSharesTheGivenExpressions) {
+  const auto workload = workload::Generate(GnarlySpec(107)).value();
+  std::vector<ExpressionHandle> handles;
+  std::unordered_set<const BooleanExpression*> given;
+  for (const BooleanExpression& sub : workload.subscriptions) {
+    handles.push_back(Handle(sub));
+    given.insert(handles.back().get());
+  }
+  for (ClusterStrategy strategy :
+       {ClusterStrategy::kPivot, ClusterStrategy::kSignature,
+        ClusterStrategy::kInsertionOrder}) {
+    PcmOptions options = BaseOptions();
+    options.clustering.strategy = strategy;
+    PcmMatcher matcher(options);
+    {
+      std::vector<const BooleanExpression*> pointers;
+      for (const ExpressionHandle& handle : handles) {
+        pointers.push_back(handle.get());
+      }
+      matcher.Build(pointers);
+    }
+    size_t members = 0;
+    for (const CompressedCluster& cluster : matcher.clusters()) {
+      for (const BooleanExpression* member : cluster.members()) {
+        EXPECT_TRUE(given.contains(member)) << ClusterStrategyName(strategy);
+        ++members;
+      }
+    }
+    EXPECT_EQ(members, handles.size()) << ClusterStrategyName(strategy);
+  }
+}
+
+/// The delta path keeps the handle it is given: the caller drops its own at
+/// once, and the expression still matches, both from the delta clusters and
+/// after Compact folds it into main clusters that point at the same object.
+TEST(PcmTest, AddIncrementalKeepsTheHandleAlive) {
+  const auto workload = workload::Generate(GnarlySpec(108)).value();
+  const size_t half = workload.subscriptions.size() / 2;
+  const std::vector<BooleanExpression> base(
+      workload.subscriptions.begin(),
+      workload.subscriptions.begin() + static_cast<long>(half));
+  PcmOptions options = BaseOptions();
+  options.delta_cluster_size = 8;
+  PcmMatcher matcher(options);
+  matcher.Build(base);
+  std::unordered_map<SubscriptionId, BooleanExpression> live;
+  for (const auto& sub : base) live.emplace(sub.id(), sub);
+  std::unordered_set<const BooleanExpression*> added;
+  for (size_t i = half; i < workload.subscriptions.size(); ++i) {
+    ExpressionHandle handle = Handle(workload.subscriptions[i]);
+    added.insert(handle.get());
+    matcher.AddIncremental(std::move(handle));  // the only handle left
+    live.emplace(workload.subscriptions[i].id(), workload.subscriptions[i]);
+  }
+  ExpectMatchesLive(matcher, live, workload.events);
+  matcher.Compact();
+  size_t folded = 0;
+  for (const CompressedCluster& cluster : matcher.clusters()) {
+    for (const BooleanExpression* member : cluster.members()) {
+      if (added.contains(member)) ++folded;
+    }
+  }
+  EXPECT_EQ(folded, added.size());
+  ExpectMatchesLive(matcher, live, workload.events);
 }
 
 TEST(PcmTest, Names) {

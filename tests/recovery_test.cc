@@ -17,6 +17,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/crc32c.h"
@@ -527,6 +528,58 @@ TEST(RecoveryTest, IndexImageCheckpointRecoversWithoutRebuild) {
             0u);
 }
 
+/// FNV-1a over raw bytes.
+uint64_t HashBytes(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Checkpoint capture takes the engine's shared expression handles rather
+/// than copying every predicate list, and the file it writes must not
+/// change by a byte. The (size, FNV-1a) pairs were pinned from the copying
+/// capture over this fixed script, with and without the embedded a-pcm
+/// index image. A flush halfway through makes the capture also run over a
+/// master list that a published snapshot has already pruned.
+TEST(RecoveryTest, CheckpointBytesMatchPinnedEncoding) {
+  struct Pinned {
+    bool index;
+    size_t size;
+    uint64_t fnv;
+  };
+  const Pinned pinned[] = {{false, 2237, 0x55ab9e7a3e54f411ULL},
+                           {true, 6837, 0x98992760bbfe06d0ULL}};
+  const auto script = MakeScript(0xC4EC4, 40);
+  const auto probes = MakeProbes(0xC4EC5, 8);
+  for (const Pinned& want : pinned) {
+    TempDir dir;
+    EngineOptions options = DurableOptions(dir.path());
+    options.kind = MatcherKind::kAPcm;
+    options.checkpoint_every_ops = 0;  // explicit Checkpoint() only
+    options.checkpoint_index = want.index;
+    {
+      Harness durable(options);
+      const std::vector<ScriptOp> head(script.begin(), script.begin() + 20);
+      const std::vector<ScriptOp> tail(script.begin() + 20, script.end());
+      const ScriptState st = ApplyScript(durable.engine, head);
+      durable.Probe(probes);
+      ApplyScript(durable.engine, tail, nullptr, nullptr, /*arg=*/0,
+                  /*arm_at=*/-1, st.ids);
+      ASSERT_TRUE(durable.engine.Checkpoint().ok());
+    }
+    const std::string ckpt_path = CheckpointPath(dir.path());
+    ASSERT_FALSE(ckpt_path.empty());
+    const std::string bytes = ReadFileToString(ckpt_path).value();
+    EXPECT_EQ(bytes.size(), want.size) << "index image " << want.index;
+    EXPECT_EQ(HashBytes(bytes), want.fnv)
+        << "index image " << want.index << ": got 0x" << std::hex
+        << HashBytes(bytes);
+  }
+}
+
 /// Encodes `state` in the legacy index form 2 (one index image per hash
 /// shard), byte for byte as the codec's layout defines it: the form-0
 /// encoding up to its index flag, then
@@ -578,9 +631,8 @@ TEST(RecoveryTest, LegacyShardedCheckpointRecoversThroughFullRebuild) {
   ASSERT_TRUE(state.ok()) << state.status().ToString();
   constexpr uint32_t kShards = 4;
   std::vector<std::vector<BooleanExpression>> parts(kShards);
-  for (const auto& [id, predicates] : state->subscriptions) {
-    parts[id % kShards].push_back(
-        BooleanExpression::FromSorted(id, predicates));
+  for (const ExpressionHandle& sub : state->subscriptions) {
+    parts[sub->id() % kShards].push_back(*sub);
   }
   std::vector<std::string> images;
   for (const auto& part : parts) {
@@ -598,7 +650,12 @@ TEST(RecoveryTest, LegacyShardedCheckpointRecoversThroughFullRebuild) {
 
   const auto decoded = store::DecodeCheckpoint(legacy);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->subscriptions, state->subscriptions);
+  ASSERT_EQ(decoded->subscriptions.size(), state->subscriptions.size());
+  for (size_t i = 0; i < state->subscriptions.size(); ++i) {
+    EXPECT_EQ(decoded->subscriptions[i]->id(), state->subscriptions[i]->id());
+    EXPECT_EQ(decoded->subscriptions[i]->predicates(),
+              state->subscriptions[i]->predicates());
+  }
   EXPECT_TRUE(decoded->index_kind.empty());
   EXPECT_TRUE(decoded->index_image.empty());
   // A damaged form-2 section is still corruption, not a silent skip.

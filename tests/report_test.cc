@@ -331,6 +331,31 @@ TEST(ReportTest, LiveEngineReportHasRegistryMetrics) {
   }
 }
 
+/// The PCM family's dispatch work reaches the scrape surface: one round
+/// over a reachable cluster folds its (cluster, event) visits into
+/// apcm_matcher_cluster_visits_total.
+TEST(ReportTest, ClusterVisitsExportedAfterPcmRound) {
+  StreamEngine engine(ReportOptions(),
+                      [](uint64_t, const std::vector<SubscriptionId>&) {});
+  ASSERT_TRUE(engine.AddSubscription({Predicate(0, Op::kGe, 0)}).ok());
+  ASSERT_TRUE(engine.AddSubscription({Predicate(1, Op::kLe, 5)}).ok());
+  engine.Publish(Event::Create({{0, 1}}).value());
+  engine.Publish(Event::Create({{0, 2}, {1, 3}}).value());
+  engine.Flush();
+  uint64_t exported = 0;
+  bool found = false;
+  for (const MetricSample& sample : engine.metrics_registry().Collect()) {
+    if (sample.name == "apcm_matcher_cluster_visits_total") {
+      exported = sample.counter_value;
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found);
+  EXPECT_GT(exported, 0u);
+  EXPECT_EQ(exported, engine.stats().matcher_cluster_visits.load());
+  EXPECT_EQ(exported, engine.matcher_stats()->cluster_visits);
+}
+
 TEST(ReportTest, MatcherStatsRendering) {
   MatcherStats stats;
   stats.events_matched = 7;

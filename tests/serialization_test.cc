@@ -35,7 +35,7 @@ TEST_F(SerializationTest, SaveLoadRoundTripMatchesIdentically) {
 
   PcmMatcher loaded(options);
   ASSERT_TRUE(
-      loaded.LoadIndex(workload.subscriptions, kPath).ok());
+      loaded.LoadIndex(Pointers(workload.subscriptions), kPath).ok());
   EXPECT_EQ(loaded.clusters().size(), original.clusters().size());
   EXPECT_DOUBLE_EQ(loaded.CompressionRatio(), original.CompressionRatio());
 
@@ -55,7 +55,7 @@ TEST_F(SerializationTest, LoadedIndexAgreesWithScan) {
     ASSERT_TRUE(original.SaveIndex(kPath).ok());
   }
   PcmMatcher loaded(options);
-  ASSERT_TRUE(loaded.LoadIndex(workload.subscriptions, kPath).ok());
+  ASSERT_TRUE(loaded.LoadIndex(Pointers(workload.subscriptions), kPath).ok());
   // ExpectAgreesWithScan calls Build; compare manually instead.
   index::ScanMatcher scan;
   const auto expected = RunMatcher(scan, workload);
@@ -75,11 +75,11 @@ TEST_F(SerializationTest, LoadedIndexSupportsIncrementalUpdates) {
     ASSERT_TRUE(original.SaveIndex(kPath).ok());
   }
   PcmMatcher loaded(options);
-  ASSERT_TRUE(loaded.LoadIndex(workload.subscriptions, kPath).ok());
+  ASSERT_TRUE(loaded.LoadIndex(Pointers(workload.subscriptions), kPath).ok());
   const auto fresh_id =
       static_cast<SubscriptionId>(workload.subscriptions.size()) + 7;
-  loaded.AddIncremental(BooleanExpression::Create(
-      fresh_id, {Predicate(0, Op::kGe, workload.spec.domain_min)}).value());
+  loaded.AddIncremental(Handle(BooleanExpression::Create(
+      fresh_id, {Predicate(0, Op::kGe, workload.spec.domain_min)}).value()));
   std::vector<SubscriptionId> matches;
   loaded.Match(Event::Create({{0, workload.spec.domain_max}}).value(),
                &matches);
@@ -96,9 +96,9 @@ TEST_F(SerializationTest, SaveRequiresBuildAndCleanDelta) {
   const auto workload = workload::Generate(GnarlySpec(304)).value();
   PcmMatcher dirty(options);
   dirty.Build(workload.subscriptions);
-  dirty.AddIncremental(BooleanExpression::Create(
+  dirty.AddIncremental(Handle(BooleanExpression::Create(
       static_cast<SubscriptionId>(workload.subscriptions.size()) + 1,
-      {Predicate(0, Op::kEq, 1)}).value());
+      {Predicate(0, Op::kEq, 1)}).value()));
   EXPECT_EQ(dirty.SaveIndex(kPath).code(), StatusCode::kFailedPrecondition);
 }
 
@@ -115,7 +115,7 @@ TEST_F(SerializationTest, MismatchedSubscriptionSetRejected) {
       workload.subscriptions.begin() +
           static_cast<long>(workload.subscriptions.size() / 2));
   PcmMatcher loaded(options);
-  const Status status = loaded.LoadIndex(truncated, kPath);
+  const Status status = loaded.LoadIndex(Pointers(truncated), kPath);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
@@ -126,7 +126,7 @@ TEST_F(SerializationTest, WrongMagicRejected) {
   }
   const auto workload = workload::Generate(GnarlySpec(306)).value();
   PcmMatcher loaded{PcmOptions{}};
-  EXPECT_EQ(loaded.LoadIndex(workload.subscriptions, kPath).code(),
+  EXPECT_EQ(loaded.LoadIndex(Pointers(workload.subscriptions), kPath).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -157,7 +157,8 @@ TEST_F(SerializationTest, CorruptedImagesRejectedNotCrashed) {
                 static_cast<std::streamsize>(corrupted.size()));
     }
     PcmMatcher loaded(options);
-    const Status status = loaded.LoadIndex(workload.subscriptions, kPath);
+    const Status status =
+        loaded.LoadIndex(Pointers(workload.subscriptions), kPath);
     if (status.ok()) {
       // A flip that survived validation must still produce sane behavior;
       // run one match to shake out memory errors under sanitizers.
@@ -188,7 +189,7 @@ TEST_F(SerializationTest, StreamAndPathImagesAreIdentical) {
 
   PcmMatcher loaded(options);
   std::istringstream in(stream_image.str());
-  ASSERT_TRUE(loaded.LoadIndex(workload.subscriptions, in).ok());
+  ASSERT_TRUE(loaded.LoadIndex(Pointers(workload.subscriptions), in).ok());
   std::vector<std::vector<SubscriptionId>> expected;
   std::vector<std::vector<SubscriptionId>> actual;
   original.MatchBatch(workload.events, &expected);
@@ -214,7 +215,7 @@ TEST_F(SerializationTest, SaveSurvivesInjectedShortWrites) {
   EXPECT_GT(failpoint::Hits("store.file.write.short"), 1u);
 
   PcmMatcher loaded(options);
-  ASSERT_TRUE(loaded.LoadIndex(workload.subscriptions, kPath).ok());
+  ASSERT_TRUE(loaded.LoadIndex(Pointers(workload.subscriptions), kPath).ok());
   std::vector<std::vector<SubscriptionId>> expected;
   std::vector<std::vector<SubscriptionId>> actual;
   original.MatchBatch(workload.events, &expected);
@@ -244,14 +245,15 @@ TEST_F(SerializationTest, FailedSaveLeavesTheOldIndexIntact) {
     std::ifstream tmp(std::string(kPath) + ".tmp");
     EXPECT_FALSE(tmp.good());
     PcmMatcher loaded(options);
-    EXPECT_TRUE(loaded.LoadIndex(workload.subscriptions, kPath).ok());
+    EXPECT_TRUE(
+        loaded.LoadIndex(Pointers(workload.subscriptions), kPath).ok());
   }
 }
 
 TEST_F(SerializationTest, EmptyIndexRoundTrips) {
   PcmOptions options;
   PcmMatcher original(options);
-  original.Build({});
+  original.Build(std::vector<BooleanExpression>{});
   ASSERT_TRUE(original.SaveIndex(kPath).ok());
   PcmMatcher loaded(options);
   ASSERT_TRUE(loaded.LoadIndex({}, kPath).ok());
